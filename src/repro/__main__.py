@@ -665,6 +665,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             r.workload,
             r.mechanism,
             r.engine,
+            r.kernel,
             round(r.build_s, 3),
             round(r.simulate_s, 3),
             r.total_cycles,
@@ -674,7 +675,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     ]
     print(
         format_table(
-            ["workload", "mech", "engine", "build_s", "sim_s", "cycles", "kcyc/s"],
+            [
+                "workload",
+                "mech",
+                "engine",
+                "kernel",
+                "build_s",
+                "sim_s",
+                "cycles",
+                "kcyc/s",
+            ],
             rows,
             title=(
                 f"profile (scale={args.scale}, min of {args.repeat} "

@@ -30,6 +30,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from ..errors import ConfigError
+from ..sim.memory.kernel import kernel_name
 from ..spec import SystemSpec
 from ..workloads import build_workload
 from ..workloads.registry import elem_bytes
@@ -51,6 +52,9 @@ class ProfileRecord:
     workload: str
     mechanism: str
     engine: str
+    # Which memory-walk kernel ran the point: "c" (the compiled walk) or
+    # "python" (the fallback); see repro.sim.memory.kernel.
+    kernel: str
     nsb: bool
     dtype: str
     scale: float
@@ -133,6 +137,7 @@ def profile_point(
         workload=workload,
         mechanism=mechanism,
         engine=engine if engine is not None else "reference",
+        kernel=kernel_name(),
         nsb=nsb,
         dtype=dtype,
         scale=scale,

@@ -45,6 +45,9 @@ class PrefetchPort:
         if burst_budget < 1:
             raise ConfigError("burst_budget must be >= 1")
         self._mem = mem
+        # The compiled walk of a MemorySystem (None on other memories, or
+        # when the kernel is unavailable) runs prefetch_many's run split.
+        self._walk = getattr(mem, "_walk", None)
         self.burst_budget = burst_budget
         self._burst_now = -1
         self._burst_used = 0
@@ -93,9 +96,14 @@ class PrefetchPort:
 
         Squashed and dropped requests produce no entry, so callers use
         ``len()`` for the issued count and ``max()`` for the last fill.
+        The compiled walk runs this body (still one ``prefetch_lines``
+        call per run) when the memory system has one.
         """
         if not lines:
             return []
+        walk = self._walk
+        if walk is not None:
+            return walk.prefetch_many(self, ats, lines, irregular)
         if isinstance(ats, int):
             runs = ((ats, lines),)
         else:

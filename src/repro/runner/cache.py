@@ -63,6 +63,13 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 _FINGERPRINT: str | None = None
 
 
+def fingerprint_sources() -> list[Path]:
+    """The files :func:`code_fingerprint` hashes: every ``repro`` Python
+    module plus the C source of the compiled memory walk."""
+    package_root = Path(__file__).resolve().parents[1]
+    return sorted([*package_root.rglob("*.py"), *package_root.rglob("*.c")])
+
+
 def code_fingerprint() -> str:
     """Content hash of every ``repro`` source file (memoised per process).
 
@@ -74,7 +81,7 @@ def code_fingerprint() -> str:
     if _FINGERPRINT is None:
         package_root = Path(__file__).resolve().parents[1]
         digest = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
+        for path in fingerprint_sources():
             digest.update(str(path.relative_to(package_root)).encode())
             digest.update(b"\0")
             digest.update(path.read_bytes())

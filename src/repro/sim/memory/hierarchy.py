@@ -24,6 +24,7 @@ from ..request import Access, AccessResult, AccessType, HitLevel
 from ..stats import RunStats
 from .cache import Cache, CacheConfig, CacheLine, LookupKind
 from .dram import DRAM, DRAMConfig
+from . import kernel
 
 
 def default_l2_config() -> CacheConfig:
@@ -189,6 +190,38 @@ class MemorySystem:
         self._dram_lat = config.dram.latency
         self._pf_penalty = config.dram.prefetch_penalty
         self._line_service = self.dram.service_cycles(config.line_bytes)
+        # The compiled walk (see kernel.py) runs the batch kernels' bodies
+        # in place on the same containers and counters; None when it
+        # cannot be built, and the Python batch kernels run instead.
+        walk = kernel.load()
+        cpu = self._cpu_cfg
+        self._walk = None
+        if walk is not None:
+            self._walk = walk.Walk(
+                self.l2,
+                self._l2_hot,
+                self._l2_lat,
+                self.nsb,
+                self._nsb_hot,
+                self._nsb_lat,
+                self.l2.mshr,
+                self._l2_mshr_hot,
+                self.dram,
+                self._dram_lat,
+                self._line_service,
+                self._pf_penalty,
+                self._line_bytes,
+                self._pf_pending,
+                self._stats_nsb,
+                self._stats_l2,
+                self._stats_pf,
+                self._traffic,
+                self if cpu is not None else None,
+                cpu.lines_per_kcycle if cpu is not None else 0,
+                CacheLine,
+                AccessResult,
+                (HitLevel.NSB, HitLevel.L2, HitLevel.INFLIGHT, HitLevel.DRAM),
+            )
 
     # -- background CPU traffic ----------------------------------------------
     _MAX_INJECT_PER_CALL = 64
@@ -389,7 +422,15 @@ class MemorySystem:
         Returns ``(last_complete_cycle, dram_flags)``; ``dram_flags[k]``
         is 1 when line ``k`` went off-chip (the executors fold these
         into the vector-batch miss statistics).
+
+        The compiled walk runs this body when it is loaded; the loop
+        below is its pure-Python equivalent.
         """
+        walk = self._walk
+        if walk is not None:
+            return walk.demand_lines(
+                now, issue_width, lines, irregular, sid, hook, idxs
+            )
         n = len(lines)
         flags = bytearray(n)
         if n == 0:
@@ -669,7 +710,12 @@ class MemorySystem:
         dropped — exactly what per-line budget checks would have done).
 
         Returns ``(ready cycles of the issued lines, lines processed)``.
+        Like :meth:`demand_lines`, it runs in the compiled walk when that
+        is loaded.
         """
+        walk = self._walk
+        if walk is not None:
+            return walk.prefetch_lines(now, lines, irregular, max_issue)
         readys: list[int] = []
         n = len(lines)
         if n == 0:

@@ -7,11 +7,17 @@ tuning overrides for the NVR mechanism — and asserts the three engines
 (``reference``, ``vectorized``, ``batched``) produce byte-for-byte
 identical :func:`~repro.runner.pool.execute_spec` payloads on each one.
 
+The ``reference`` side runs on the pure-Python memory kernels (the
+compiled walk's loader patched to return None), so a bug in the
+compiled walk cannot hide by appearing on both sides.
+
 Settings discipline: ``derandomize=True`` keeps CI deterministic (the
 corpus still varies across hypothesis versions, which is the point —
 fresh points over time without flaky runs), ``deadline=None`` because a
 point is a whole simulation, and small scales keep the draw affordable.
 """
+
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,9 +25,17 @@ from hypothesis import strategies as st
 from repro.core.controller import NVRConfig
 from repro.registry import MECHANISM_ORDER
 from repro.runner import RunSpec, execute_spec
+from repro.sim.memory import kernel
 from repro.workloads.registry import WORKLOAD_ORDER
 
 ENGINES = ("vectorized", "batched")
+
+
+def execute_reference(spec: RunSpec) -> dict:
+    """``execute_spec`` with every memory system on the Python kernels."""
+    with mock.patch.object(kernel, "load", lambda: None):
+        return execute_spec(spec)
+
 
 spec_strategy = st.fixed_dictionaries(
     {
@@ -56,7 +70,7 @@ class TestRandomizedEquivalence:
     )
     @given(point=spec_strategy)
     def test_random_specs_identical_across_engines(self, point):
-        reference = execute_spec(RunSpec(**point))
+        reference = execute_reference(RunSpec(**point))
         for engine in ENGINES:
             assert execute_spec(RunSpec(**point, engine=engine)) == reference
 
@@ -81,6 +95,6 @@ class TestRandomizedEquivalence:
             seed=point["seed"],
             nvr=nvr,
         )
-        reference = execute_spec(RunSpec(**base))
+        reference = execute_reference(RunSpec(**base))
         for engine in ENGINES:
             assert execute_spec(RunSpec(**base, engine=engine)) == reference

@@ -11,6 +11,7 @@ The acceptance properties of the sweep-as-a-service daemon:
 * a daemon killed mid-sweep resumes it from the ledger on restart.
 """
 
+import contextlib
 import json
 import threading
 import time
@@ -21,7 +22,7 @@ import pytest
 
 from repro.client import SweepClient
 from repro.errors import ConfigError, ServerError, SimulationError
-from repro.runner import RunSpec, expand, run_queue_worker
+from repro.runner import RunSpec, WorkQueue, expand, run_queue_worker
 from repro.server import (
     SweepEngine,
     SweepLedger,
@@ -43,14 +44,28 @@ def small_grid() -> Grid:
     return Grid(workload="st", mechanism=["inorder", "nvr"], scale=SCALE)
 
 
-def start_worker(work_dir, **kwargs) -> threading.Thread:
+@contextlib.contextmanager
+def running_worker(work_dir, **kwargs):
+    """A queue worker thread for the block's duration.
+
+    On exit the queue's stop sentinel ends the worker at its next poll
+    (no idle timeout to wait out), the join must see it gone, and the
+    sentinel is removed again so a later worker on the same work dir
+    starts normally.
+    """
     kwargs.setdefault("poll", 0.02)
-    kwargs.setdefault("idle_timeout", 30)
     thread = threading.Thread(
         target=run_queue_worker, args=(work_dir,), kwargs=kwargs, daemon=True
     )
     thread.start()
-    return thread
+    stop = WorkQueue(work_dir).stop_path
+    try:
+        yield thread
+    finally:
+        stop.touch()
+        thread.join(30)
+        stop.unlink()
+    assert not thread.is_alive(), "queue worker did not stop"
 
 
 @pytest.fixture
@@ -207,12 +222,11 @@ class TestSweepEngine:
         assert engine.status(sid)["state"] == "queued"
         with pytest.raises(ConfigError, match="no results yet"):
             engine.results(sid)
-        worker = start_worker(engine.work_dir)
-        poll_until(engine, sid, "done")
+        with running_worker(engine.work_dir):
+            poll_until(engine, sid, "done")
         assert engine.status(sid)["points"]["done"] == 2
         records = json.loads(engine.results(sid))
         assert {r["mechanism"] for r in records} == {"inorder", "nvr"}
-        worker.join(30)
 
     def test_unknown_sweep_is_config_error(self, engine):
         with pytest.raises(ConfigError, match="unknown sweep"):
@@ -239,22 +253,21 @@ class TestSweepEngine:
 
         monkeypatch.setattr(pool, "execute_spec", flaky_execute)
         bad = RunSpec("st", scale=SCALE, seed=7)
-        worker = start_worker(engine.work_dir, max_units=1)
-        sid, _ = engine.submit([bad])
-        poll_until(engine, sid, "failed")
+        with running_worker(engine.work_dir, max_units=1):
+            sid, _ = engine.submit([bad])
+            poll_until(engine, sid, "failed")
         status = engine.status(sid)
         assert "synthetic failure" in status["error"]
         # The error is durable: a reloaded engine reports it too.
         assert engine.ledger.load(sid).error is not None
-        worker.join(30)
 
-        # Resubmitting clears the error and retries (second run succeeds).
-        worker = start_worker(engine.work_dir, max_units=1)
-        sid2, created = engine.submit([bad])
-        assert sid2 == sid and not created
-        poll_until(engine, sid, "done")
+        # Resubmitting clears the error and retries (second run succeeds)
+        # on a new worker over the same work dir.
+        with running_worker(engine.work_dir, max_units=1):
+            sid2, created = engine.submit([bad])
+            assert sid2 == sid and not created
+            poll_until(engine, sid, "done")
         assert engine.status(sid)["error"] is None
-        worker.join(30)
 
     def test_restart_mid_sweep_resumes_from_ledger(self, tmp_path):
         work, cache = tmp_path / "work", tmp_path / "cache"
@@ -266,11 +279,10 @@ class TestSweepEngine:
         second = SweepEngine(work, cache_dir=cache)
         assert second.start() == 1  # the sweep came back as pending
         assert second.status(sid)["state"] == "queued"
-        worker = start_worker(work)
-        poll_until(second, sid, "done")
+        with running_worker(work):
+            poll_until(second, sid, "done")
         records = json.loads(second.results(sid))
         assert len(records) == 2
-        worker.join(30)
         second.shutdown()
 
         # A third restart finds everything already cached: nothing resumes.
@@ -281,11 +293,11 @@ class TestSweepEngine:
 
     def test_subscribe_replays_landed_points_exactly_once(self, engine):
         specs = small_specs()
-        worker = start_worker(engine.work_dir)
-        sid, _ = engine.submit(specs)
-        live: list = []
-        replay, unsubscribe = engine.subscribe(sid, live.append)
-        poll_until(engine, sid, "done")
+        with running_worker(engine.work_dir):
+            sid, _ = engine.submit(specs)
+            live: list = []
+            replay, unsubscribe = engine.subscribe(sid, live.append)
+            poll_until(engine, sid, "done")
         events = replay + live
         assert [e["event"] for e in events] == ["point", "point", "done"]
         assert [e["done"] for e in events[:2]] == [1, 2]
@@ -294,7 +306,6 @@ class TestSweepEngine:
         replay2, unsub2 = engine.subscribe(sid, live.append)
         assert [e["event"] for e in replay2] == ["point", "point", "done"]
         unsub2()
-        worker.join(30)
 
     def test_stats_counts_sweeps_and_hit_rate(self, tmp_path, engine):
         specs = small_specs()
@@ -320,12 +331,11 @@ class TestHTTPServer:
         client = SweepClient(server.base_url)
         assert client.health() == {"ok": True}
 
-        worker = start_worker(server.engine.work_dir)
-        accepted = client.submit(small_grid(), meta={"who": "ci"})
-        assert accepted["created"] is True
-        final = client.wait(accepted["id"], timeout=120)
+        with running_worker(server.engine.work_dir):
+            accepted = client.submit(small_grid(), meta={"who": "ci"})
+            assert accepted["created"] is True
+            final = client.wait(accepted["id"], timeout=120)
         assert final["state"] == "done"
-        worker.join(30)
 
         # Byte-identical to the same sweep run through a local Session.
         with Session(cache_dir=tmp_path / "cache2") as session:
@@ -349,16 +359,16 @@ class TestHTTPServer:
         assert [s["id"] for s in listed] == [accepted["id"]]
 
     def test_tenants_get_isolated_namespaces(self, server):
-        worker = start_worker(server.engine.work_dir)
         alice = SweepClient(server.base_url, tenant="alice")
         bob = SweepClient(server.base_url, tenant="bob")
 
-        a = alice.submit(small_grid())
-        b = bob.submit(small_grid())
-        assert a["id"] != b["id"]  # tenant is part of the content address
-        assert a["tenant"] == "alice" and b["tenant"] == "bob"
-        alice.wait(a["id"], timeout=120)
-        bob.wait(b["id"], timeout=120)
+        with running_worker(server.engine.work_dir):
+            a = alice.submit(small_grid())
+            b = bob.submit(small_grid())
+            assert a["id"] != b["id"]  # tenant is part of the content address
+            assert a["tenant"] == "alice" and b["tenant"] == "bob"
+            alice.wait(a["id"], timeout=120)
+            bob.wait(b["id"], timeout=120)
         assert alice.results(a["id"]) == bob.results(b["id"])
 
         engine = server.engine
@@ -373,18 +383,16 @@ class TestHTTPServer:
         # ... and nothing leaked into the default namespace.
         assert len(default_cache.entries()) == 0
         assert default_cache.tenants() == ["alice", "bob"]
-        worker.join(30)
 
     def test_sse_stream_ends_with_done(self, server):
         client = SweepClient(server.base_url)
-        worker = start_worker(server.engine.work_dir)
-        accepted = client.submit(small_grid())
-        events = list(client.events(accepted["id"], timeout=120))
+        with running_worker(server.engine.work_dir):
+            accepted = client.submit(small_grid())
+            events = list(client.events(accepted["id"], timeout=120))
         assert [e["event"] for e in events] == ["point", "point", "done"]
         assert events[-1]["total"] == 2
         labels = {e["label"] for e in events[:2]}
         assert labels == {s.label() for s in small_grid().specs()}
-        worker.join(30)
 
     def test_http_error_surface(self, server):
         client = SweepClient(server.base_url)
