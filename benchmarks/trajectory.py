@@ -27,7 +27,7 @@ regression (default 2x and +5s — generous because CI machines are not
 the machines the entries were recorded on).
 
 ``--engine`` reruns the plan's sim points on a non-default simulation
-kernel (``vectorized``/``batched``) and stamps the entry with it;
+kernel (``batched``) and stamps the entry with it;
 ``check`` follows the last committed entry's engine automatically so
 the gate always compares like with like. Records resting on a single
 cold run draw a warning — min-of-1 is not a minimum.
@@ -127,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         "--engine",
         default=None,
         help="run the plan's sim points on this simulation kernel "
-        "('vectorized'/'batched'; default: the plan as committed — "
+        "('batched'; default: the plan as committed — "
         "'check' follows the last entry's engine so the gate compares "
         "like with like)",
     )

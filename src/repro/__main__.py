@@ -5,9 +5,9 @@ Usage::
     python -m repro run ds --mechanism nvr --dtype fp16 --scale 0.5
     python -m repro compare gcn --nsb --jobs 4
     python -m repro sweep --workloads ds,gcn --mechanisms inorder,nvr
-    python -m repro sweep --spec plan.json --backend shards --jobs 4
+    python -m repro sweep --spec plan.json --jobs 4
     python -m repro ablate nvr-depth --workloads ds,gcn --jobs 4
-    python -m repro profile --workloads gcn,mk --engines reference,vectorized
+    python -m repro profile --workloads gcn,mk --engines reference,batched
     python -m repro workloads
     python -m repro overhead
     python -m repro figures --scale 0.6 --jobs 4 -o EXPERIMENTS.md
@@ -37,13 +37,12 @@ Every executing subcommand (``run``, ``compare``, ``sweep``, ``ablate``,
 over N worker processes and every result (single ``run`` points
 included) is memoised in the on-disk cache (``.repro-cache/`` or
 ``$REPRO_CACHE_DIR``; disable with ``--no-cache``), so repeated and
-overlapping invocations only simulate new points. ``--backend shards``
-runs the missing points as share-nothing ``repro worker`` subprocesses
-over serialized shards instead — the same wire format the
-``plan``/``worker`` commands expose for multi-machine sweeps: *export* a
-plan, *shard* it, run each shard with ``worker run`` wherever, and
-*merge* the result files back into the cache; figure runs then consume
-them as ordinary warm hits. ``--backend queue`` inverts the deal:
+overlapping invocations only simulate new points. The ``plan``/``worker``
+commands expose the wire format for multi-machine sweeps without a
+shared filesystem: *export* a plan, *shard* it, run each shard with
+``worker run`` wherever, and *merge* the result files back into the
+cache; figure runs then consume them as ordinary warm hits. ``--backend
+queue`` inverts the deal:
 missing points become claimable unit files under ``--work-dir`` and any
 number of ``repro queue worker`` processes *pull* them, heartbeating a
 lease so crashed workers' units are re-enqueued automatically; ``queue
@@ -82,7 +81,7 @@ from pathlib import Path
 from .analysis import format_table, table1_overhead, table2_workloads
 from .analysis.experiments import ABLATION_WORKLOADS, ABLATIONS
 from .analysis.paperfigs import figures_plan, generate_report
-from .analysis.profile import PROFILE_ENGINES, profile_grid, profile_json
+from .analysis.profile import profile_grid, profile_json
 from .api import DTYPE_BYTES, MECHANISM_ORDER, compare_mechanisms
 from .check import cli as check_cli
 from .errors import ConfigError, ReproError
@@ -117,6 +116,7 @@ from .session import (
     resolve_cache_dir,
     session_from_args,
 )
+from .sim.npu.batched import ENGINE_NAMES
 from .utils import sanitize_nonfinite
 from .workloads import WORKLOAD_ORDER
 
@@ -148,7 +148,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     with session_from_args(args) as session:
         results = compare_mechanisms(
             args.workload,
-            runner=session,
+            session=session,
             dtype=args.dtype,
             nsb=args.nsb,
             scale=args.scale,
@@ -214,7 +214,7 @@ def _sweep_grid(args: argparse.Namespace) -> Grid:
         nsb=(False, True) if args.nsb == "both" else (args.nsb == "on",),
         scale=_numbers(args.scales, float, "scale"),
         seed=_numbers(args.seeds, int, "seed"),
-        engine=_csv(args.engines, PROFILE_ENGINES, "engine"),
+        engine=_csv(args.engines, ENGINE_NAMES, "engine"),
         with_base=args.with_base,
     )
 
@@ -653,7 +653,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             tuple(MECHANISM_ORDER) + ("preload",),
             "mechanism",
         ),
-        engines=_csv(args.engines, PROFILE_ENGINES, "engine"),
+        engines=_csv(args.engines, ENGINE_NAMES, "engine"),
         nsb=args.nsb,
         dtype=args.dtype,
         scale=args.scale,
@@ -856,7 +856,7 @@ def _add_sweep_axis_arguments(parser: argparse.ArgumentParser) -> None:
         "--engines",
         default="reference",
         help="comma-separated simulation kernels "
-        "(reference,vectorized,batched); a speed knob — results are "
+        f"({','.join(ENGINE_NAMES)}); a speed knob — results are "
         "bit-identical",
     )
     parser.add_argument(
@@ -1159,7 +1159,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="KERNEL",
         help="default simulation kernel for submitted points "
-        "('vectorized'/'batched'); a speed knob — results are "
+        f"({'/'.join(ENGINE_NAMES)}); a speed knob — results are "
         "bit-identical, but it changes cache keys",
     )
     serve_p.set_defaults(fn=_cmd_serve)
@@ -1299,7 +1299,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default=None,
         metavar="KERNEL",
-        help="default simulation kernel ('vectorized'/'batched')",
+        help=f"default simulation kernel ({'/'.join(ENGINE_NAMES)})",
     )
     frun_p.add_argument(
         "--scale", type=float, default=0.6, help="figures scale (default 0.6)"
@@ -1417,9 +1417,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prof_p.add_argument(
         "--engines",
-        default=",".join(PROFILE_ENGINES),
+        default=",".join(ENGINE_NAMES),
         help="comma-separated simulation kernels to compare "
-        f"(default {','.join(PROFILE_ENGINES)})",
+        f"(default {','.join(ENGINE_NAMES)})",
     )
     prof_p.add_argument("--nsb", action="store_true")
     prof_p.add_argument("--dtype", default="fp16", choices=list(DTYPE_BYTES))

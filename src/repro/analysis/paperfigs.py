@@ -15,7 +15,7 @@ import sys
 import time
 
 from ..llm import calibration_plan, layer_miss_plan
-from ..runner import Plan, SweepRunner
+from ..runner import Plan
 from ..session import (
     Session,
     add_session_arguments,
@@ -368,19 +368,17 @@ def _table2(scale: float, seed: int, session=None) -> str:
 def generate_report(
     scale: float = 0.6,
     seed: int = 0,
-    runner: SweepRunner | None = None,
     session: Session | None = None,
 ) -> str:
     """Produce the full EXPERIMENTS.md text.
 
     All figures share ``session`` (defaulting to the process-wide
-    :func:`~repro.session.default_session`; a bare runner is accepted
-    via the deprecated ``runner`` keyword). The session's cache means
+    :func:`~repro.session.default_session`). The session's cache means
     points duplicated across figures simulate once and a warm cache
     regenerates the whole report without simulating at all.
     """
     start = time.time()
-    session = coerce_session(session, runner)
+    session = coerce_session(session)
     sections = [
         _fig1b(scale, seed, session),
         _fig5(scale, seed, session),
@@ -419,21 +417,6 @@ def figures_plan(scale: float = 0.6, seed: int = 0) -> Plan:
         *table2_plan(scale=scale, seed=seed),
     ]
     return Plan(specs=specs, meta={"source": "figures", "scale": scale, "seed": seed})
-
-
-def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
-    """Deprecated alias of :func:`repro.session.add_session_arguments`."""
-    add_session_arguments(parser)
-
-
-def runner_from_args(args: argparse.Namespace, quiet: bool = False) -> SweepRunner:
-    """Deprecated: build a session's runner from the shared flags.
-
-    Use :func:`repro.session.session_from_args` (or
-    ``Session.from_args``) — the Session owns the cache/backend/jobs
-    policy in one object.
-    """
-    return session_from_args(args, quiet=quiet).runner
 
 
 def main(argv: list[str] | None = None) -> int:

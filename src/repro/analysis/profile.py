@@ -9,7 +9,7 @@ compare. Each profiled point is split into its two wall-time phases:
   generation; shared across mechanisms by the runner's workload memo,
   but charged per point here so the split is visible);
 * **simulate** — executing the program on the platform, the phase the
-  vectorized kernels accelerate.
+  batched kernels accelerate.
 
 Cycle counters come from the run itself, so the derived rates
 (``kcycles_per_s``, ``events_per_s``) relate simulated work to wall
@@ -34,9 +34,6 @@ from ..sim.memory.kernel import kernel_name
 from ..spec import SystemSpec
 from ..workloads import build_workload
 from ..workloads.registry import elem_bytes
-
-#: Engine spellings accepted by ``--engines`` (None means "reference").
-PROFILE_ENGINES = ("reference", "vectorized", "batched")
 
 
 @dataclass(frozen=True)

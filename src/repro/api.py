@@ -21,9 +21,7 @@ so single points and sweeps alike deduplicate and memoise in the on-disk
 result cache — a repeated ``run_workload`` call is a warm hit, exactly
 like a sweep point. For anything beyond one-off calls (shared worker
 pools, scratch caches, grids), use a :class:`~repro.session.Session`
-directly; the ``runner=``/``jobs=``/``cache=``/``backend=`` keywords of
-:func:`compare_mechanisms` remain for back-compat but are deprecated in
-favour of passing a ``Session``.
+directly; :func:`compare_mechanisms` also takes one as ``session=``.
 """
 
 from __future__ import annotations
@@ -106,7 +104,7 @@ def run_workload(
         with_base: also run a perfect-memory pass to fill
             ``result.base_cycles`` (the Fig. 5 base/stall split).
         engine: simulation-kernel implementation ("reference" or
-            "vectorized"); a speed knob only — results are bit-identical.
+            "batched"); a speed knob only — results are bit-identical.
 
     Executes through :func:`~repro.session.default_session`, so the point
     is content-addressed and memoised in the on-disk result cache —
@@ -151,10 +149,7 @@ _SPEC_FIELDS = ("dtype", "nsb", "scale", "seed", "with_base")
 def compare_mechanisms(
     workload: str,
     mechanisms: tuple[str, ...] = MECHANISM_ORDER,
-    runner=None,
-    jobs: int = 1,
-    cache=None,
-    backend=None,
+    session=None,
     memory: MemoryConfig | None = None,
     nvr_config: NVRConfig | None = None,
     executor: ExecutorConfig | None = None,
@@ -165,12 +160,9 @@ def compare_mechanisms(
     Submits the mechanism sweep through a
     :class:`~repro.session.Session`, so points deduplicate, execute
     across worker processes and memoise in the on-disk cache. Pass a
-    ``Session`` (or, for back-compat, a bare
-    :class:`~repro.runner.SweepRunner`) as ``runner`` to share its
-    cache/pool with a larger sweep; with no arguments the process-wide
-    :func:`~repro.session.default_session` is used. The ``jobs``/
-    ``cache``/``backend`` keywords are deprecated spellings of the same
-    ``Session`` knobs and build a one-shot session when given.
+    ``Session`` as ``session`` to share its cache/pool with a larger
+    sweep; without one the process-wide
+    :func:`~repro.session.default_session` is used.
 
     Object-valued overrides are first-class plan content: ``memory=``
     and ``executor=`` apply to every mechanism, while ``nvr_config=``
@@ -182,7 +174,7 @@ def compare_mechanisms(
     """
     from .errors import ConfigError
     from .runner import RunSpec
-    from .session import Session, coerce_session, default_session
+    from .session import coerce_session
 
     if nvr_config is not None and not any(
         MECHANISMS.get(m).uses_nvr_config for m in mechanisms
@@ -206,11 +198,5 @@ def compare_mechanisms(
         )
         for m in mechanisms
     ]
-    if runner is not None:
-        results = coerce_session(runner=runner).sweep(specs).results
-    elif jobs == 1 and cache is None and backend is None:
-        results = default_session().sweep(specs).results
-    else:
-        with Session(jobs=jobs, cache=cache, backend=backend) as session:
-            results = session.sweep(specs).results
+    results = coerce_session(session).sweep(specs).results
     return dict(zip(mechanisms, results))

@@ -9,10 +9,9 @@ parallel — and distributable — plan:
 * :mod:`repro.runner.pool` — :class:`SweepRunner`, the dedupe + cache +
   backend execution engine;
 * :mod:`repro.runner.backend` — pluggable :class:`Backend` protocol:
-  :class:`LocalPoolBackend` (in-process ``ProcessPoolExecutor``),
-  :class:`FileShardBackend` (share-nothing ``repro worker`` processes
-  over serialized shards) and :class:`QueueBackend` (workers *pull*
-  claimable units from a shared directory);
+  :class:`LocalPoolBackend` (in-process ``ProcessPoolExecutor``) and
+  :class:`QueueBackend` (workers *pull* claimable units from a shared
+  directory);
 * :mod:`repro.runner.queue` — the pull-based work queue:
   :class:`WorkQueue` unit/lease/result protocol and the
   :class:`QueueBackend` orchestrator with crash recovery;
@@ -34,7 +33,6 @@ from ..spec import SystemSpec
 from .backend import (
     BACKEND_NAMES,
     Backend,
-    FileShardBackend,
     LocalPoolBackend,
     make_backend,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "CACHE_SALT",
     "DEFAULT_CACHE_DIR",
     "FLEET_DRIVERS",
-    "FileShardBackend",
     "Fleet",
     "FleetStatus",
     "GCReport",

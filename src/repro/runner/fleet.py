@@ -122,6 +122,16 @@ class FleetDriver(Protocol):
 def _pid_alive(pid) -> bool:
     if not isinstance(pid, int) or pid <= 0:
         return False
+    # An exited but unreaped child of this process (a handle restored
+    # from the state file by the process that spawned it) is a zombie,
+    # and ``kill 0`` succeeds on zombies: reap it first. Only pids that
+    # are not our children fall through to the signal probe.
+    try:
+        reaped, _ = os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        pass
+    else:
+        return reaped == 0
     try:
         os.kill(pid, 0)
     except ProcessLookupError:

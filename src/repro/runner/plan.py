@@ -126,7 +126,7 @@ class RunSpec:
     (``mechanism``, ``nsb``, ``memory``, ``nvr``, ``executor``,
     ``engine``) — never both. ``memory``/``nvr`` accept the shorthand
     :class:`MemorySpec`/:class:`NVRSpec` or full config objects;
-    ``engine`` picks the simulation kernel (``"vectorized"`` or the
+    ``engine`` picks the simulation kernel (``"batched"`` or the
     default reference kernels — a speed knob, never a results knob).
     """
 
@@ -334,7 +334,7 @@ def expand(
     Every axis accepts a scalar or a sequence; the expansion order is
     workload-major (workload, mechanism, dtype, nsb, scale, seed, engine),
     matching the paper figures' bar order. ``engines`` is the
-    simulation-kernel axis (``None``/``"reference"``/``"vectorized"``) —
+    simulation-kernel axis (``None``/``"reference"``/``"batched"``) —
     sweeping it reruns identical platforms through different kernels,
     which is exactly what the engine-equivalence tests do.
     """

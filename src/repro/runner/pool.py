@@ -13,9 +13,9 @@
    :class:`~repro.runner.backend.Backend` —
    :class:`~repro.runner.backend.LocalPoolBackend` executes
    :func:`execute_spec` inline or across a ``ProcessPoolExecutor``,
-   :class:`~repro.runner.backend.FileShardBackend` ships serialized
-   shards to independent ``repro worker`` processes. Workers rebuild
-   everything from the spec, so results are a pure function of the spec
+   :class:`~repro.runner.queue.QueueBackend` enqueues claimable units
+   for ``repro queue worker`` processes. Workers rebuild everything
+   from the spec, so results are a pure function of the spec
    and bit-identical for every ``jobs`` setting and every backend;
 4. results are reassembled in plan order.
 
@@ -113,9 +113,8 @@ class SweepRunner:
         jobs: worker processes; 1 executes inline in this process
             (shorthand for the default :class:`LocalPoolBackend`).
         backend: the execution backend for cache-missed points; pass a
-            :class:`~repro.runner.backend.FileShardBackend` (or the CLI's
-            ``--backend shards``) to run them as share-nothing worker
-            processes over serialized shards.
+            :class:`~repro.runner.queue.QueueBackend` (or the CLI's
+            ``--backend queue``) to have pull workers execute them.
         cache: optional on-disk result cache shared across plans/runs.
         submitted / cache_hits: cumulative counters over the runner's
             lifetime (the warm-run tests assert ``submitted == 0``).

@@ -71,6 +71,7 @@ from .runner import (
 )
 from .runner.plan import _tuple
 from .runner.progress import NullProgress, Progress
+from .sim.npu.batched import ENGINE_NAMES
 from .sim.npu.executor import ExecutorConfig
 from .spec import SystemSpec
 
@@ -229,26 +230,22 @@ class Session:
             a ready :class:`~repro.runner.ResultCache`.
         cache_dir: directory for the default cache (ignored when
             ``cache`` is an object or ``False``).
-        backend: a backend name (``"local"``/``"shards"``/``"queue"``),
-            a ready :class:`~repro.runner.Backend`, or ``None`` for the
-            local pool.
-        work_dir: shard/result file directory for the shards backend;
-            the shared unit directory (required) for the queue backend —
-            see also the :meth:`remote` shorthand.
+        backend: a backend name (``"local"``/``"queue"``), a ready
+            :class:`~repro.runner.Backend`, or ``None`` for the local
+            pool.
+        work_dir: the shared unit directory the queue backend requires
+            (see also the :meth:`remote` shorthand); unused by the local
+            pool.
         queue_batch: points per claimable unit for the queue backend
             (default 1; ignored by the other backends).
         progress: ``True`` for live progress lines, ``False``/``None``
             for silence, or a progress object.
         engine: default simulation kernel for every sim point this
-            session executes (``"vectorized"``/``"batched"``). A pure
-            speed knob — engines are bit-identical — applied only to
-            points that do not already pin a non-reference kernel, so
+            session executes (one of
+            :data:`~repro.sim.npu.batched.ENGINE_NAMES`). A pure speed
+            knob — engines are bit-identical — applied only to points
+            that do not already pin a non-reference kernel, so
             equivalence sweeps keep their explicit engine axis.
-        runner: wrap an existing :class:`~repro.runner.SweepRunner`
-            instead of building one — the session then shares (and does
-            not own or close) its cache/pool. Mutually exclusive with
-            the other knobs (``engine`` excepted — it rewrites specs
-            before they reach the runner).
 
     The underlying :class:`~repro.runner.SweepRunner` is built lazily on
     first use, so constructing a Session is free. Use the session as a
@@ -265,27 +262,8 @@ class Session:
         queue_batch: int = 1,
         progress=None,
         engine: str | None = None,
-        runner: SweepRunner | None = None,
     ) -> None:
-        if runner is not None:
-            if (
-                jobs != 1
-                or cache is not None
-                or cache_dir is not None
-                or backend is not None
-                or work_dir is not None
-                or queue_batch != 1
-                or progress is not None
-            ):
-                raise ConfigError(
-                    "pass either runner= or the cache/backend/jobs knobs, "
-                    "not both — a wrapped runner already owns its policy"
-                )
-            self._runner: SweepRunner | None = runner
-            self._owns_runner = False
-        else:
-            self._runner = None
-            self._owns_runner = True
+        self._runner: SweepRunner | None = None
         self._jobs = max(1, int(jobs))
         self._cache = cache
         self._cache_dir = cache_dir
@@ -368,10 +346,10 @@ class Session:
         than raised, because close-on-teardown has no caller that can
         act on the error.
         """
-        # getattr: a Session whose __init__ raised (mutually-exclusive
-        # knobs) is still finalised by __del__, before these exist.
+        # getattr: a Session whose __init__ raised before its body ran
+        # (an unexpected keyword) is still finalised by __del__.
         runner = getattr(self, "_runner", None)
-        if runner is None or not getattr(self, "_owns_runner", False):
+        if runner is None:
             return
         try:
             runner.close()
@@ -658,23 +636,13 @@ def set_default_session(session: Session | None) -> Session | None:
     return previous
 
 
-def coerce_session(session=None, runner: SweepRunner | None = None) -> Session:
-    """Normalise the figure runners' ``session``/``runner`` arguments.
-
-    Accepts a :class:`Session`, a bare :class:`~repro.runner.SweepRunner`
-    (the pre-Session calling convention, wrapped without taking
-    ownership), or nothing — which yields :func:`default_session`.
-    """
-    chosen = session if session is not None else runner
-    if chosen is None:
+def coerce_session(session: Session | None = None) -> Session:
+    """The figure runners' ``session`` argument, or :func:`default_session`."""
+    if session is None:
         return default_session()
-    if isinstance(chosen, Session):
-        return chosen
-    if isinstance(chosen, SweepRunner):
-        return Session(runner=chosen)
-    raise ConfigError(
-        f"expected a Session or SweepRunner, got {type(chosen).__name__}"
-    )
+    if isinstance(session, Session):
+        return session
+    raise ConfigError(f"expected a Session, got {type(session).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -702,18 +670,16 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
         choices=BACKEND_NAMES,
         default=argparse.SUPPRESS,
         help="how cache-missed points execute: 'local' in-process "
-        "workers, 'shards' via share-nothing 'repro worker run' "
-        "subprocesses over serialized plan shards, 'queue' by "
-        "enqueueing claimable units that 'repro queue worker' "
-        "processes pull from --work-dir (default local)",
+        "workers, or 'queue' by enqueueing claimable units that "
+        "'repro queue worker' processes pull from --work-dir "
+        "(default local)",
     )
     parser.add_argument(
         "--work-dir",
         default=argparse.SUPPRESS,
         metavar="DIR",
-        help="keep the shards backend's shard/result files in DIR "
-        "(default: a temporary directory); for --backend queue, the "
-        "shared work directory the workers watch (required)",
+        help="for --backend queue, the shared work directory the "
+        "workers watch (required)",
     )
     parser.add_argument(
         "--queue-batch",
@@ -729,7 +695,7 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
         default=argparse.SUPPRESS,
         metavar="KERNEL",
         help="default simulation kernel for every sim point "
-        "('vectorized'/'batched'); a speed knob — results are "
+        f"({'/'.join(ENGINE_NAMES)}); a speed knob — results are "
         "bit-identical — that points pinning their own engine ignore",
     )
     parser.add_argument(

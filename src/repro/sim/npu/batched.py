@@ -1,13 +1,11 @@
-"""Vectorised simulation kernels ("engine" axis of the ENGINES registry).
+"""Simulation kernels (the "engine" axis of the ENGINES registry).
 
 The per-mode classes in :mod:`~repro.sim.npu.executor` are the *reference*
 kernels: straight-line Python that mirrors the micro-architecture one line
 request at a time. The classes here simulate the **same modes with the
 same observable behaviour** — bit-identical :class:`~repro.sim.stats.
-RunStats` and cycle counts — but precompute every per-line quantity
-(addresses, issue cycles, segment membership) as flat numpy arrays, so the
-Python interpreter only runs the inherently sequential part: the stateful
-walk through the cache hierarchy.
+RunStats` and cycle counts — but hand each instruction's whole request
+vector to the memory system's batch kernels.
 
 Two registry entries are added here, both *kernel dispatchers* rather than
 modes (marked with ``needs_mode = True`` so
@@ -16,7 +14,7 @@ modes (marked with ``needs_mode = True`` so
 * ``"reference"`` — resolves to the per-mode class itself. Selecting it is
   exactly the same as selecting no engine; it exists so a sweep can name
   both sides of an equivalence comparison.
-* ``"vectorized"`` — resolves to the numpy-batched subclass for the mode.
+* ``"batched"`` — resolves to the request-vector subclass for the mode.
 
 Equivalence is enforced, not assumed: the engine-equivalence test grid
 runs every mechanism on both kernels and asserts identical result
@@ -26,10 +24,7 @@ payloads, and the spec-key goldens pin that selecting ``"reference"``
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...errors import ConfigError
-from ..request import HitLevel
 from .executor import (
     ENGINES,
     ExplicitPreloadEngine,
@@ -40,8 +35,8 @@ from .isa import VectorGather, VectorLoad
 
 #: Kernel-implementation names accepted by ``SystemSpec.engine`` /
 #: ``RunSpec(engine=...)``. "reference" is canonicalised away (it is the
-#: default), so only "vectorized"/"batched" ever reach a serialised spec.
-ENGINE_NAMES: tuple[str, ...] = ("reference", "vectorized", "batched")
+#: default), so only "batched" ever reaches a serialised spec.
+ENGINE_NAMES: tuple[str, ...] = ("reference", "batched")
 
 
 @ENGINES.register("reference")
@@ -56,138 +51,12 @@ def reference_kernel(mode, program, mem, prefetcher, sparse_unit, stats, config)
 reference_kernel.needs_mode = True
 
 
-class _VectorizedIssueMixin:
-    """numpy-batched issue helpers shared by the vectorized mode classes.
-
-    The address streams and issue schedule of a vector instruction are
-    pure functions of the instruction — only the memory system's response
-    is stateful. So: compute addresses, issue cycles and first-line flags
-    as arrays up front, then run one flat loop that does nothing but
-    demand the lines in order.
-    """
-
-    def _issue_load(self, now: int, load: VectorLoad) -> int:
-        lines = load.line_addrs(self._line_bytes)
-        n = len(lines)
-        if n == 0:
-            return now
-        width = self._issue_width
-        if self._fast_perfect:
-            return now + (n - 1) // width + self._reg_hit
-        ats = (now + np.arange(n, dtype=np.int64) // width).tolist()
-        demand_line = self._demand_line
-        hook = self._pf_hook
-        sid = load.stream_id
-        done = now
-        for la, at in zip(lines.tolist(), ats):
-            res = demand_line(at, la, False)
-            if hook is not None:
-                hook(at, sid, la, None, res)
-            if res.complete_at > done:
-                done = res.complete_at
-        return done
-
-    def _issue_gather(self, now: int, gather: VectorGather) -> int:
-        width = self._vec_width
-        batch_stats = self.stats.batch
-        firsts, counts = gather.line_spans(self._line_bytes)
-        n_elems = len(firsts)
-        if self._fast_perfect:
-            batch_stats.elements += n_elems
-            batch_stats.batches += (n_elems + width - 1) // width
-            total = int(counts.sum())
-            if total == 0:
-                return now
-            return now + (total - 1) // self._issue_width + self._irr_hit
-        if n_elems == 0:
-            return now
-        total = int(counts.sum())
-        # Flat per-line arrays: owning element, position within the
-        # element's segment, line address, issue cycle.
-        elem_of = np.repeat(np.arange(n_elems, dtype=np.int64), counts)
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        lines = (np.repeat(firsts, counts) + ramp * self._line_bytes).tolist()
-        ats = (now + np.arange(total, dtype=np.int64) // self._issue_width).tolist()
-        first_line = (ramp == 0).tolist()
-        elem_of_l = elem_of.tolist()
-        idx_l = np.asarray(gather.index_values).tolist()
-        demand_line = self._demand_line
-        hook = self._pf_hook
-        sid = gather.stream_id
-        done = now
-        missed = bytearray(n_elems)
-        for k in range(total):
-            at = ats[k]
-            la = lines[k]
-            res = demand_line(at, la, True)
-            if hook is not None:
-                # Index/address pairs are architecturally visible only for
-                # the first line of a segment (the computed address).
-                hook(
-                    at,
-                    sid,
-                    la,
-                    idx_l[elem_of_l[k]] if first_line[k] else None,
-                    res,
-                )
-            if res.hit_level == HitLevel.DRAM:
-                missed[elem_of_l[k]] = 1
-            if res.complete_at > done:
-                done = res.complete_at
-        batch_stats.elements += n_elems
-        batch_stats.batches += (n_elems + width - 1) // width
-        n_missed = sum(missed)
-        if n_missed:
-            batch_stats.element_misses += n_missed
-            for b0 in range(0, n_elems, width):
-                if any(missed[b0 : b0 + width]):
-                    batch_stats.batch_misses += 1
-        return done
-
-
-class VectorizedInOrderEngine(_VectorizedIssueMixin, InOrderEngine):
-    """``inorder`` timing model on the vectorized issue kernels."""
-
-
-class VectorizedOoOEngine(_VectorizedIssueMixin, IdealOoOEngine):
-    """``ooo`` timing model on the vectorized issue kernels."""
-
-
-class VectorizedPreloadEngine(_VectorizedIssueMixin, ExplicitPreloadEngine):
-    """``preload`` timing model on the vectorized issue kernels."""
-
-
-_VECTORIZED_KERNELS = {
-    "inorder": VectorizedInOrderEngine,
-    "ooo": VectorizedOoOEngine,
-    "preload": VectorizedPreloadEngine,
-}
-
-
-@ENGINES.register("vectorized")
-def vectorized_kernel(mode, program, mem, prefetcher, sparse_unit, stats, config):
-    """Dispatch to the numpy-batched kernel for ``mode``."""
-    try:
-        cls = _VECTORIZED_KERNELS[mode]
-    except KeyError:
-        raise ConfigError(
-            f"no vectorized kernel for executor mode {mode!r} "
-            f"(have: {', '.join(_VECTORIZED_KERNELS)})"
-        ) from None
-    return cls(program, mem, prefetcher, sparse_unit, stats, config)
-
-
-vectorized_kernel.needs_mode = True
-
-
 class _BatchedIssueMixin:
     """Whole-instruction request vectors through ``demand_lines``.
 
-    Where the vectorized kernels precompute per-line arrays and still
-    make one ``demand_line`` call per line, the batched kernels hand the
-    entire instruction's line vector to the memory system's
+    Where the reference kernels make one ``demand_line`` call per line,
+    the batched kernels hand the entire instruction's line vector to the
+    memory system's
     :meth:`~repro.sim.memory.hierarchy.MemorySystem.demand_lines` batch
     kernel: one Python call per *instruction*, with the per-line state
     walk running inside the hierarchy against inlined cache state. The

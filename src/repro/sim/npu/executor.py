@@ -393,15 +393,17 @@ def build_engine(
 
     ``engine`` optionally selects an alternative simulation-kernel
     implementation of the same ``mode`` (a registry entry carrying
-    ``needs_mode = True``, e.g. ``"vectorized"``). None runs the entry
-    registered under ``mode`` itself — the reference kernels.
+    ``needs_mode = True``; see :data:`~repro.sim.npu.batched.ENGINE_NAMES`).
+    None runs the entry registered under ``mode`` itself — the reference
+    kernels.
     """
     if engine is not None:
         entry = ENGINES.get(engine)
         if not getattr(entry, "needs_mode", False):
             raise ConfigError(
                 f"engine {engine!r} is an executor mode, not a kernel "
-                "implementation - pass it as the mode instead"
+                f"implementation ({', '.join(_batched.ENGINE_NAMES)}) - "
+                "pass it as the mode instead"
             )
         return entry(mode, program, mem, prefetcher, sparse_unit, stats, config)
     entry = ENGINES.get(mode)
@@ -413,6 +415,6 @@ def build_engine(
     return entry(program, mem, prefetcher, sparse_unit, stats, config)
 
 
-# Self-registers the "reference"/"vectorized" kernel dispatchers; must run
+# Self-registers the "reference"/"batched" kernel dispatchers; must run
 # after the mode classes above exist.
-from . import vectorized as _vectorized  # noqa: E402,F401
+from . import batched as _batched  # noqa: E402

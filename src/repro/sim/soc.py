@@ -119,7 +119,7 @@ class System:
         mode: 'inorder' or 'ooo'.
         executor: issue widths and OoO window.
         engine: simulation-kernel implementation (``"reference"`` /
-            ``"vectorized"``); None picks the engine registered under
+            ``"batched"``); None picks the engine registered under
             ``mode`` directly. Purely a speed knob — every engine must
             produce bit-identical statistics for a given mode.
     """

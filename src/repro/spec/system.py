@@ -32,6 +32,7 @@ from ..core.controller import NVRConfig
 from ..errors import ConfigError
 from ..registry import MECHANISMS, MechanismDef
 from ..sim.memory.hierarchy import MemoryConfig
+from ..sim.npu.batched import ENGINE_NAMES
 from ..sim.npu.executor import ENGINES, ExecutorConfig
 from . import serde
 
@@ -50,13 +51,13 @@ def _canonical_engine(engine: str | None) -> str | None:
     """
     if engine is None or engine == "reference":
         return None
-    entry = ENGINES.get(engine)  # raises ConfigError on unknown names
+    entry = ENGINES.get(engine) if engine in ENGINES else None
     if not getattr(entry, "needs_mode", False):
+        kind = "an execution mode" if entry is not None else "unknown"
         raise ConfigError(
-            f"'{engine}' is an execution mode, not a simulation kernel — "
-            "SystemSpec.engine selects a kernel implementation "
-            "('reference', 'vectorized' or 'batched'); the mode comes "
-            "from the mechanism"
+            f"simulation kernel '{engine}' is {kind} (known kernels: "
+            f"{', '.join(ENGINE_NAMES)}); the execution mode comes from "
+            "the mechanism"
         )
     return engine
 
@@ -73,9 +74,9 @@ class SystemSpec:
             defaults (256 KiB L2, no NSB).
         nvr: NVR tuning override; only for ``uses_nvr_config`` mechanisms.
         executor: issue-width / OoO-window / preload-granule override.
-        engine: simulation-kernel implementation (``"vectorized"``,
-            ``"batched"``, or ``None``/``"reference"`` for the per-event
-            reference kernels).
+        engine: simulation-kernel implementation (``"batched"``, or
+            ``None``/``"reference"`` for the per-event reference kernels;
+            see :data:`~repro.sim.npu.batched.ENGINE_NAMES`).
             Purely a speed knob — every engine must produce bit-identical
             statistics, so ``"reference"`` canonicalises to ``None`` and
             the choice never changes a result, only how fast it arrives.

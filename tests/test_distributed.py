@@ -5,13 +5,12 @@ The acceptance properties of the subsystem:
 * plans round-trip through JSON for every registered mechanism, engine
   and workload, and corrupt wire files fail with ``ConfigError``;
 * sharding is a pure function of (plan content, shard count);
-* a sharded run — whether driven by hand through the ``plan``/``worker``
-  CLIs or by ``--backend shards`` — produces payloads bit-identical to
-  local execution, and merged results serve as ordinary cache hits;
+* a sharded run driven through the ``plan``/``worker`` CLIs produces
+  payloads bit-identical to local execution, and merged results serve
+  as ordinary cache hits;
 * cache gc and worker-result merging serialise on the cache lock.
 """
 
-import dataclasses
 import json
 import threading
 import time
@@ -33,7 +32,7 @@ from repro.errors import ConfigError
 from repro.llm import calibration_plan, layer_miss_plan
 from repro.registry import MECHANISMS
 from repro.runner import (
-    FileShardBackend,
+    LocalPoolBackend,
     MemorySpec,
     NVRSpec,
     Plan,
@@ -46,6 +45,8 @@ from repro.runner import (
     run_shard,
     write_results,
 )
+from repro.session import Session
+from repro.sim.npu.batched import ENGINE_NAMES
 from repro.sim.npu.executor import ENGINES, ExecutorConfig
 from repro.workloads import WORKLOAD_ORDER
 
@@ -54,10 +55,6 @@ SCALE = 0.05
 
 def small_plan() -> Plan:
     return Plan(specs=expand(["st", "ds"], ["inorder", "nvr"], scales=SCALE))
-
-
-def as_dicts(results):
-    return [dataclasses.asdict(r) for r in results]
 
 
 def spec_for_mechanism(mechanism: str) -> RunSpec:
@@ -272,26 +269,6 @@ class TestWorkerResults:
 
 
 class TestLocalVsSharded:
-    def test_file_shard_backend_matches_local(self, tmp_path):
-        plan = small_plan()
-        local = SweepRunner(cache=ResultCache(tmp_path / "a"))
-        backend = FileShardBackend(shards=2, work_dir=tmp_path / "work")
-        sharded = SweepRunner(cache=ResultCache(tmp_path / "b"), backend=backend)
-        try:
-            assert as_dicts(sharded.run_plan(plan.specs)) == as_dicts(
-                local.run_plan(plan.specs)
-            )
-        finally:
-            sharded.close()
-        # The cached payload files are byte-identical across backends.
-        files_a = sorted(p.name for p in ResultCache(tmp_path / "a").entries())
-        files_b = sorted(p.name for p in ResultCache(tmp_path / "b").entries())
-        assert files_a == files_b and files_a
-        for name in files_a:
-            pa = next((tmp_path / "a").glob(f"??/{name}"))
-            pb = next((tmp_path / "b").glob(f"??/{name}"))
-            assert pa.read_bytes() == pb.read_bytes()
-
     def test_cli_export_shard_work_merge_flow(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         argv = [
@@ -335,21 +312,34 @@ class TestLocalVsSharded:
         assert merged_json.read_bytes() == local_json.read_bytes()
 
     def test_sweep_backend_shards_flag(self, tmp_path, capsys):
-        base = [
-            "sweep",
-            "--workloads",
-            "st",
-            "--mechanisms",
-            "inorder,nvr",
-            "--scales",
-            str(SCALE),
-        ]
-        shards_argv = base + ["--backend", "shards", "--jobs", "2"]
-        assert cli_main(shards_argv + ["--cache-dir", str(tmp_path / "a")]) == 0
-        sharded = capsys.readouterr().out
-        assert cli_main(base + ["--cache-dir", str(tmp_path / "b")]) == 0
-        local = capsys.readouterr().out
-        assert sharded == local
+        # Sharded execution is the plan/worker workflow above, not a
+        # --backend choice.
+        argv = ["sweep", "--workloads", "st", "--backend", "shards"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'shards'" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="known: local, queue"):
+            Session(backend="shards", cache=False).run("st", scale=SCALE)
+
+    @pytest.mark.parametrize("command", ["sweep", "worker"])
+    def test_removed_engine_in_a_plan_is_clean_error(self, tmp_path, capsys, command):
+        plan = Plan(specs=[RunSpec("st", scale=SCALE, engine="batched")])
+        wire = plan.to_dict()
+        wire["specs"][0]["system"]["engine"] = "vectorized"
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(wire))
+        if command == "sweep":
+            argv = ["sweep", "--spec", str(path), "--cache-dir", str(tmp_path)]
+        else:
+            argv = ["worker", "run", str(path), "--out", str(tmp_path / "r.json")]
+        rc = cli_main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "'vectorized'" in err
+        assert f"known kernels: {', '.join(ENGINE_NAMES)}" in err
+        assert "Traceback" not in err
 
     def test_worker_cli_corrupt_shard_is_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -445,23 +435,24 @@ class TestFiguresPlan:
         ):
             assert {s.key() for s in plan_specs} <= keys
 
-    def test_figure_runner_submits_only_plan_specs(self, tmp_path):
-        class RecordingRunner(SweepRunner):
+    def test_figure_runner_submits_only_plan_specs(self):
+        class RecordingBackend(LocalPoolBackend):
             def __init__(self):
-                super().__init__(cache=ResultCache(tmp_path))
+                super().__init__()
                 self.seen = []
 
-            def run_plan(self, specs):
-                self.seen.extend(specs)
-                return super().run_plan(specs)
+            def run(self, pending):
+                self.seen.extend(key for key, _ in pending)
+                return super().run(pending)
 
         for runner_fn, plan_fn in (
             (fig6c_data_movement, fig6c_plan),
             (fig7_bandwidth_allocation, fig7_plan),
             (table2_workloads, table2_plan),
         ):
-            recorder = RecordingRunner()
-            runner_fn(scale=SCALE, runner=recorder)
-            assert [s.key() for s in recorder.seen] == [
-                s.key() for s in plan_fn(scale=SCALE)
-            ]
+            backend = RecordingBackend()
+            runner_fn(scale=SCALE, session=Session(cache=False, backend=backend))
+            # Uncached, the backend sees every distinct plan point once,
+            # in plan order — and nothing else.
+            plan_keys = [s.key() for s in plan_fn(scale=SCALE)]
+            assert backend.seen == list(dict.fromkeys(plan_keys))

@@ -1,20 +1,18 @@
-"""The vectorized and batched simulation kernels are bit-identical to
-reference.
+"""The batched simulation kernels are bit-identical to reference.
 
 The ``engine`` axis is *purely* a speed knob: every mechanism, on every
 workload, must produce byte-for-byte identical result payloads on the
-``vectorized`` kernels, the ``batched`` request-vector kernels and the
-per-event ``reference`` kernels. This is the contract that lets the
-engines share figures, caches and goldens — a vectorized or batched run
-is just a faster route to the same record.
+``batched`` request-vector kernels and the per-event ``reference``
+kernels. This is the contract that lets the engines share figures,
+caches and goldens — a batched run is just a faster route to the same
+record.
 
 Three layers of the contract are pinned here:
 
 * **spec identity** — ``engine="reference"`` folds to the default spec
-  (same key, same cache entry), while ``engine="vectorized"`` and
-  ``engine="batched"`` each get a *distinct* key, so the payload
-  comparisons below genuinely execute every implementation rather than
-  sharing one cache hit;
+  (same key, same cache entry), while ``engine="batched"`` gets a
+  *distinct* key, so the payload comparisons below genuinely execute
+  both implementations rather than sharing one cache hit;
 * **payload equality** — :func:`~repro.runner.pool.execute_spec` output
   (the wire/cache format) is compared as whole dicts, ``with_base``
   passes included, across every engine x mechanism x workload x nsb
@@ -27,8 +25,8 @@ serialisation (see ``test_spec.py``); this file pins its semantics.
 
 The payload comparisons run the ``reference`` side on the pure-Python
 memory kernels (the compiled walk's loader patched to return None), so
-the fast engines, which run on the compiled walk when it is available,
-are checked against an implementation that shares none of its code.
+the fast engine, which runs on the compiled walk when it is available,
+is checked against an implementation that shares none of its code.
 """
 
 import dataclasses
@@ -53,7 +51,7 @@ ALL_MECHANISMS = tuple(MECHANISM_ORDER) + ("preload",)
 #: The non-reference kernel implementations under the equivalence
 #: contract. Adding an engine here (and to the spec-identity test) is
 #: the entire cost of extending the guarantee to it.
-FAST_ENGINES = ("vectorized", "batched")
+FAST_ENGINES = ("batched",)
 
 SCALE = 0.05
 
@@ -77,12 +75,6 @@ class TestEngineSpecIdentity:
         assert RunSpec("ds", engine=engine).key() != RunSpec("ds").key()
         assert SystemSpec(engine=engine) != SystemSpec()
 
-    def test_fast_engines_distinct_from_each_other(self):
-        assert (
-            RunSpec("ds", engine="vectorized").key()
-            != RunSpec("ds", engine="batched").key()
-        )
-
     def test_mode_names_rejected_as_engines(self):
         with pytest.raises(ConfigError, match="execution mode"):
             SystemSpec(engine="inorder")
@@ -90,6 +82,10 @@ class TestEngineSpecIdentity:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError):
             SystemSpec(engine="warp-drive")
+
+    def test_removed_vectorized_engine_lists_known_kernels(self):
+        with pytest.raises(ConfigError, match="known kernels: reference, batched"):
+            SystemSpec(engine="vectorized")
 
 
 class TestPayloadEquivalence:

@@ -3,9 +3,9 @@
 ``test_engine_equivalence.py`` pins a hand-picked grid; this file lets
 hypothesis draw random points from a much larger spec space — every
 workload, every mechanism, random scales/seeds, NSB on and off, and NVR
-tuning overrides for the NVR mechanism — and asserts the three engines
-(``reference``, ``vectorized``, ``batched``) produce byte-for-byte
-identical :func:`~repro.runner.pool.execute_spec` payloads on each one.
+tuning overrides for the NVR mechanism — and asserts both engines
+(``reference``, ``batched``) produce byte-for-byte identical
+:func:`~repro.runner.pool.execute_spec` payloads on each one.
 
 The ``reference`` side runs on the pure-Python memory kernels (the
 compiled walk's loader patched to return None), so a bug in the
@@ -28,7 +28,7 @@ from repro.runner import RunSpec, execute_spec
 from repro.sim.memory import kernel
 from repro.workloads.registry import WORKLOAD_ORDER
 
-ENGINES = ("vectorized", "batched")
+ENGINES = ("batched",)
 
 
 def execute_reference(spec: RunSpec) -> dict:

@@ -169,16 +169,17 @@ class TestAblations:
         assert res.speedups("ds")[0] == 1.0
 
     def test_nsb_size_sweep_runs_cached(self, tmp_path):
-        from repro.runner import ResultCache, SweepRunner
+        from repro.runner import ResultCache
+        from repro.session import Session
 
-        cold = SweepRunner(cache=ResultCache(tmp_path))
+        cold = Session(cache=ResultCache(tmp_path))
         res = ablate_nsb_size(
-            values=(4, 16), workloads=("st",), scale=SCALE, runner=cold
+            values=(4, 16), workloads=("st",), scale=SCALE, session=cold
         )
         assert cold.submitted == 2
-        warm = SweepRunner(cache=ResultCache(tmp_path))
+        warm = Session(cache=ResultCache(tmp_path))
         rerun = ablate_nsb_size(
-            values=(4, 16), workloads=("st",), scale=SCALE, runner=warm
+            values=(4, 16), workloads=("st",), scale=SCALE, session=warm
         )
         assert warm.submitted == 0
         assert rerun == res

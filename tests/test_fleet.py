@@ -15,6 +15,8 @@ The acceptance properties of the fleet layer:
 """
 
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -177,6 +179,21 @@ class TestLocalDriver:
         dead = WorkerHandle("gone", {"pid": 2**22 + 12345})
         assert driver.poll([dead]) == {"gone": EXITED}
 
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+    def test_restored_handle_of_an_exited_child_reads_exited(self, tmp_path):
+        # `fleet up` then `fleet down` in one interpreter: the restored
+        # handle's worker is this process's child, and once it exits it
+        # stays an unreaped zombie, which a bare `kill 0` reports alive.
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        try:
+            # Block until the child exits, without reaping it.
+            os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
+            driver = LocalDriver(tmp_path)
+            zombie = WorkerHandle("zombie", {"pid": proc.pid})
+            assert driver.poll([zombie]) == {"zombie": EXITED}
+        finally:
+            proc.wait()
+
     def test_worker_argv_targets_the_queue_cli(self, tmp_path):
         driver = LocalDriver(tmp_path, worker_args=["--heartbeat", "0.5"])
         argv = driver._argv()
@@ -283,6 +300,27 @@ class TestHerder:
         assert fleet.workers == []
         assert not fleet.state_path.exists()
         assert fleet.queue.stop_requested()
+
+    def test_down_stops_a_worker_that_ignores_the_sentinel(self, tmp_path):
+        # The sleeper never reads the stop sentinel, so the drain window
+        # lapses and `down` must stop it through the driver and say so.
+        logged = []
+        fleet = self.make_fleet(tmp_path, log=logged.append)
+        (handle,) = fleet.up(1)
+        stopped = []
+        driver_stop = fleet.driver.stop
+
+        def stop(handles, **kwargs):
+            stopped.extend(h.id for h in handles)
+            driver_stop(handles, **kwargs)
+
+        fleet.driver.stop = stop
+        fleet.down(drain_timeout=0.1)
+        assert stopped == [handle.id]
+        assert fleet.driver.poll([handle]) == {handle.id: EXITED}
+        assert any(
+            "1 worker(s) that did not drain within 0.1s" in line for line in logged
+        )
 
     def test_chaos_hook_requires_a_kill_capable_driver(self, tmp_path):
         fleet = Fleet(tmp_path, FakeDriver())

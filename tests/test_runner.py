@@ -33,6 +33,7 @@ from repro.runner import (
     shape_l2,
     trace_to_payload,
 )
+from repro.session import Session
 from repro.workloads.base import TraceStats
 
 SCALE = 0.05
@@ -533,14 +534,13 @@ class TestSweepRunner:
 
 class TestCompareMechanisms:
     def test_routes_through_runner(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        runner = SweepRunner(cache=cache)
+        session = Session(cache=ResultCache(tmp_path))
         table = compare_mechanisms(
-            "st", mechanisms=("inorder", "nvr"), runner=runner, scale=SCALE
+            "st", mechanisms=("inorder", "nvr"), session=session, scale=SCALE
         )
         assert set(table) == {"inorder", "nvr"}
-        assert runner.submitted == 2
-        # Direct (runner-less) call gives identical results.
+        assert session.submitted == 2
+        # Direct (session-less) call gives identical results.
         direct = compare_mechanisms("st", mechanisms=("inorder", "nvr"), scale=SCALE)
         assert as_dicts(table.values()) == as_dicts(direct.values())
 
@@ -557,13 +557,13 @@ class TestCompareMechanisms:
             memory=MemoryConfig().with_nsb(True),
             nvr_config=NVRConfig(depth_tiles=2),
         )
-        cold = SweepRunner(cache=ResultCache(tmp_path))
-        table = compare_mechanisms("gcn", runner=cold, **kwargs)
+        cold = Session(cache=ResultCache(tmp_path))
+        table = compare_mechanisms("gcn", session=cold, **kwargs)
         assert cold.submitted == 2
         assert table["inorder"].stats.nsb.demand_accesses > 0
 
-        warm = SweepRunner(cache=ResultCache(tmp_path))
-        rerun = compare_mechanisms("gcn", runner=warm, **kwargs)
+        warm = Session(cache=ResultCache(tmp_path))
+        rerun = compare_mechanisms("gcn", session=warm, **kwargs)
         assert warm.submitted == 0
         assert warm.cache_hits == 2
         assert as_dicts(rerun.values()) == as_dicts(table.values())
@@ -588,34 +588,34 @@ class TestCompareMechanisms:
         # stay identical to an untuned run (same cache identity).
         from repro.core import NVRConfig
 
-        runner = SweepRunner()
+        session = Session(cache=False)
         tuned = compare_mechanisms(
             "st",
             mechanisms=("inorder", "nvr"),
-            runner=runner,
+            session=session,
             scale=SCALE,
             nvr_config=NVRConfig(depth_tiles=2),
         )
         plain = compare_mechanisms(
-            "st", mechanisms=("inorder",), runner=runner, scale=SCALE
+            "st", mechanisms=("inorder",), session=session, scale=SCALE
         )
         assert tuned["inorder"].total_cycles == plain["inorder"].total_cycles
         assert tuned["nvr"].total_cycles > 0
 
     def test_workload_kwargs_stay_cacheable(self, tmp_path):
-        runner = SweepRunner(cache=ResultCache(tmp_path))
+        session = Session(cache=ResultCache(tmp_path))
         compare_mechanisms(
             "ds",
             mechanisms=("stream",),
-            runner=runner,
+            session=session,
             scale=SCALE,
             topk_ratio=4,
         )
-        warm = SweepRunner(cache=ResultCache(tmp_path))
+        warm = Session(cache=ResultCache(tmp_path))
         compare_mechanisms(
             "ds",
             mechanisms=("stream",),
-            runner=warm,
+            session=warm,
             scale=SCALE,
             topk_ratio=4,
         )
@@ -626,14 +626,14 @@ class TestFigureRunners:
     def test_fig5_shares_plan_and_caches(self, tmp_path):
         from repro.analysis.experiments import fig5_latency_breakdown
 
-        cold = SweepRunner(cache=ResultCache(tmp_path))
+        cold = Session(cache=ResultCache(tmp_path))
         res = fig5_latency_breakdown(
-            workloads=("st",), panels=("fp16",), scale=SCALE, runner=cold
+            workloads=("st",), panels=("fp16",), scale=SCALE, session=cold
         )
         assert cold.submitted == 6
-        warm = SweepRunner(cache=ResultCache(tmp_path))
+        warm = Session(cache=ResultCache(tmp_path))
         res2 = fig5_latency_breakdown(
-            workloads=("st",), panels=("fp16",), scale=SCALE, runner=warm
+            workloads=("st",), panels=("fp16",), scale=SCALE, session=warm
         )
         assert warm.submitted == 0
         assert res2.panels == res.panels
@@ -641,11 +641,11 @@ class TestFigureRunners:
     def test_fig9_memory_override_grid(self, tmp_path):
         from repro.analysis.experiments import fig9_nsb_sensitivity
 
-        runner = SweepRunner(cache=ResultCache(tmp_path))
+        session = Session(cache=ResultCache(tmp_path))
         res = fig9_nsb_sensitivity(
-            nsb_sizes=(4, 16), l2_sizes=(64, 256), scale=0.1, runner=runner
+            nsb_sizes=(4, 16), l2_sizes=(64, 256), scale=0.1, session=session
         )
-        assert runner.submitted == 4
+        assert session.submitted == 4
         assert res.cell(16, 256) > 0
 
 

@@ -201,22 +201,22 @@ class TestSession:
             fig7_bandwidth_allocation(scale=SCALE, session=second)
             assert second.submitted == 0  # fully warm
 
-    def test_wrapped_runner_is_not_owned(self, tmp_path):
-        from repro.runner import ResultCache, SweepRunner
+    def test_runner_keyword_is_gone(self):
+        # A Session is the one way in: it builds and owns its runner.
+        from repro.runner import SweepRunner
 
-        runner = SweepRunner(cache=ResultCache(tmp_path))
-        session = coerce_session(runner=runner)
-        session.run("st", mechanism="inorder", scale=SCALE)
-        assert runner.submitted == 1
-        with pytest.raises(ConfigError, match="not both"):
-            Session(runner=runner, jobs=4)
+        with pytest.raises(TypeError, match="runner"):
+            Session(runner=SweepRunner())
 
     def test_coerce_session_passthrough(self, scratch_session):
+        from repro.runner import SweepRunner
+
         assert coerce_session(scratch_session) is scratch_session
-        assert coerce_session(None, scratch_session) is scratch_session
         assert coerce_session() is default_session()
         with pytest.raises(ConfigError):
             coerce_session("not a session")
+        with pytest.raises(ConfigError, match="SweepRunner"):
+            coerce_session(SweepRunner())
 
     def test_no_cache_session(self, tmp_path):
         with Session(cache=False) as session:
@@ -251,7 +251,7 @@ class TestConvenienceShims:
 
     def test_compare_accepts_session(self, scratch_session):
         results = compare_mechanisms(
-            "st", mechanisms=("inorder", "nvr"), scale=SCALE, runner=scratch_session
+            "st", mechanisms=("inorder", "nvr"), scale=SCALE, session=scratch_session
         )
         assert set(results) == {"inorder", "nvr"}
         assert scratch_session.submitted == 2
@@ -499,10 +499,10 @@ class TestSessionClose:
     def test_close_survives_a_failed_constructor(self):
         # __del__ fires even when __init__ raised before any attribute
         # was set; close() must not turn that into an AttributeError.
-        with pytest.raises(ConfigError):
-            Session(runner=object(), jobs=4)
+        with pytest.raises(TypeError):
+            Session(no_such_knob=True)
         broken = Session.__new__(Session)
-        broken.close()  # no _runner/_owns_runner attributes at all
+        broken.close()  # no _runner attribute at all
         del broken
 
     def test_del_closes_silently(self, tmp_path):
@@ -517,13 +517,3 @@ class TestSessionClose:
         session._runner.close = explode
         session.__del__()  # swallowed
         session._runner = None  # let the real del find nothing to do
-
-    def test_wrapped_runner_is_not_closed(self, tmp_path):
-        from repro.runner import ResultCache, SweepRunner
-
-        runner = SweepRunner(cache=ResultCache(tmp_path))
-        closed = []
-        runner.close = lambda: closed.append(True)
-        session = Session(runner=runner)
-        session.close()
-        assert closed == []  # the session never owned it

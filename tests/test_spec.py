@@ -67,11 +67,10 @@ def golden_specs() -> dict[str, RunSpec]:
         "executor-tuned": RunSpec(
             "scn", executor=ExecutorConfig(issue_width=4, ooo_window=16)
         ),
-        # The engine axis: "vectorized" must serialise (a distinct cache
+        # The engine axis: "batched" must serialise (a distinct cache
         # key — the equivalence suite relies on both engines actually
         # running), while "reference" folds to the default and leaves
         # every pre-engine key untouched.
-        "engine-vectorized": RunSpec("ds", engine="vectorized"),
         "engine-batched": RunSpec("ds", engine="batched"),
         "kitchen-sink": RunSpec(
             "h2o",
@@ -123,19 +122,11 @@ def golden_grids() -> dict[str, Grid]:
             drift=1.0,
         ),
         "grid:trace": Grid(workload=list(WORKLOAD_ORDER), kind="trace", scale=0.1),
-        "grid:engines": Grid(
-            workload="ds",
-            mechanism=["inorder", "nvr"],
-            scale=0.2,
-            engine=["reference", "vectorized"],
-        ),
-        # Additive: the batched kernels get their own pinned grid so the
-        # pre-batched hashes above never move.
         "grid:engines-batched": Grid(
             workload="ds",
             mechanism=["inorder", "nvr"],
             scale=0.2,
-            engine=["reference", "vectorized", "batched"],
+            engine=["reference", "batched"],
         ),
     }
 
@@ -378,7 +369,6 @@ class TestRegistry:
             "ooo",
             "preload",
             "reference",
-            "vectorized",
             "batched",
         }
 
