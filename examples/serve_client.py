@@ -43,7 +43,7 @@ def main() -> None:
 
     worker = threading.Thread(
         target=run_queue_worker,
-        kwargs=dict(work_dir=work, poll=0.02, idle_timeout=60),
+        kwargs=dict(work_dir=work, idle_timeout=60),
         daemon=True,
     )
     worker.start()

@@ -183,7 +183,7 @@ def _csv(text: str, known: tuple[str, ...], axis: str) -> tuple[str, ...]:
     values = tuple(v.strip() for v in text.split(",") if v.strip())
     for value in values:
         if value not in known:
-            raise SystemExit(f"unknown {axis} '{value}' (known: {', '.join(known)})")
+            raise ConfigError(f"unknown {axis} '{value}' (known: {', '.join(known)})")
     return values
 
 
@@ -198,7 +198,7 @@ def _numbers(text: str, parse, axis: str) -> tuple:
     try:
         return tuple(parse(v) for v in text.split(","))
     except ValueError:
-        raise SystemExit(f"invalid {axis} list '{text}'") from None
+        raise ConfigError(f"invalid {axis} list '{text}'") from None
 
 
 def _sweep_grid(args: argparse.Namespace) -> Grid:
@@ -579,10 +579,6 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         scratch = tempfile.TemporaryDirectory(prefix="repro-fleet-")
         work_dir = scratch.name
     driver_options = _driver_options(args)
-    if args.driver == "local":
-        # Local fleets are the CI/laptop path: poll fast enough that
-        # worker pickup latency never dominates a small plan.
-        driver_options.setdefault("worker_args", ["--poll", "0.05"])
 
     def log(text: str) -> None:
         print(f"# {text}", file=sys.stderr, flush=True)
@@ -1075,7 +1071,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_POLL,
         metavar="SEC",
-        help=f"queue re-scan interval when idle (default {DEFAULT_POLL:g})",
+        help="longest idle wait between queue scans; a unit enqueued on "
+        f"this host wakes the worker at once (default {DEFAULT_POLL:g})",
     )
     qworker_p.add_argument(
         "--heartbeat",

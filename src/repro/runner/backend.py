@@ -103,11 +103,17 @@ def make_backend(
 
     ``jobs`` is the local pool width. The 'queue' backend ignores it —
     its parallelism is however many ``repro queue worker`` processes
-    attach to the shared ``work_dir`` (which is therefore required).
+    attach to the shared ``work_dir`` (which is therefore required, and
+    refused for the local pool, which would silently ignore it).
     ``queue_batch`` groups that many points per claimable queue unit
     (ignored by the local pool).
     """
     if name == "local":
+        if work_dir is not None:
+            raise ConfigError(
+                "--work-dir applies to --backend queue (the local backend "
+                "runs every point in this process tree)"
+            )
         return LocalPoolBackend(jobs=jobs)
     if name == "queue":
         from .queue import QueueBackend  # circular at import time only

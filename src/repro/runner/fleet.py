@@ -830,7 +830,7 @@ class Fleet:
         """
         self.stop_herding()
         self.queue.ensure()
-        self.queue.stop_path.touch()
+        self.queue.request_stop()
         deadline = time.monotonic() + max(0.0, drain_timeout)
         remaining = list(self.workers)
         while remaining and time.monotonic() < deadline:

@@ -18,6 +18,9 @@ rename, so any number of workers and submitters can share it)::
         leases/unit-<id>.json    worker identity; mtime is the heartbeat
         results/unit-<id>.json   worker result files (one record/spec)
         failed/unit-<id>.json    spec-failure reports (worker error text)
+        wake/<topic>/<host>/<pid>-<n>
+                                 doorbells: one FIFO per waiting process
+                                 and thread (see "Waking" below)
         stop                     sentinel: workers drain and exit
 
 The unit id is a content address (sha256 of the spec key; a batched
@@ -48,6 +51,17 @@ The protocol:
   double-execution after a *slow* worker is recovered produces
   bit-identical bytes.
 
+Waking: the waiters — idle workers, and orchestrators watching for
+results — block on a :class:`Doorbell` (a named FIFO under ``wake/``)
+instead of sleeping a fixed poll period. :meth:`WorkQueue.ring` writes
+a byte to every doorbell of a topic: ``queued`` when a unit becomes
+claimable (enqueue, lease recovery, release, a stop request) and
+``results`` when a unit finishes. The poll period stays as every
+waiter's timeout, so nothing depends on a ring arriving: a FIFO only
+connects processes on one host (a worker on another machine sharing
+the work directory never reaches this host's doorbells), and a
+platform without ``os.mkfifo`` has no doorbells at all.
+
 :class:`QueueBackend` plugs the queue into the standard
 :class:`~repro.runner.backend.Backend` seam: ``repro sweep --backend
 queue --work-dir DIR`` (or :meth:`repro.session.Session.remote`) streams
@@ -58,10 +72,14 @@ results back as they land, folding each into the submitter's
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import itertools
 import json
 import os
 import re
+import select
+import socket
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -78,6 +96,7 @@ LEASE_TIMEOUT_ENV = "REPRO_QUEUE_LEASE_TIMEOUT"
 DEFAULT_LEASE_TIMEOUT = 30.0
 
 #: How often pollers (orchestrator and idle workers) re-scan, seconds.
+#: On one host a doorbell ring usually ends the wait much sooner.
 DEFAULT_POLL = 0.2
 
 #: How often a busy worker touches its lease, seconds. Must be well
@@ -135,6 +154,83 @@ def units_per_minute(stats: dict) -> float:
     if span <= 0:
         return 0.0
     return 60.0 * (len(timestamps) - 1) / span
+
+
+def _host_dir_name() -> str:
+    """This host's directory name under ``wake/<topic>/``."""
+    return re.sub(r"[^A-Za-z0-9._-]", "_", socket.gethostname())[:120] or "host"
+
+
+#: Numbers this process's doorbells, so its threads never share a FIFO.
+_doorbell_numbers = itertools.count()
+
+
+class Doorbell:
+    """One waiter's wake-up line: a FIFO that :meth:`WorkQueue.ring` writes.
+
+    Register it *before* the first scan of the work directory: a ring
+    that lands between a scan and the :meth:`wait` after it stays in the
+    FIFO and ends that wait at once. The FIFO lives under a per-host
+    directory because it only connects processes on one host: a ringer
+    on another machine sharing the work directory would find no reader
+    and take the waiter for dead. Without FIFO support (``os.mkfifo``
+    missing or refused) the doorbell is inert and :meth:`wait` sleeps
+    out its timeout, which is the poll every waiter falls back on.
+    """
+
+    def __init__(self, directory: Path) -> None:
+        self.path: Path | None = None
+        self._fd: int | None = None
+        self._poller = None
+        name = f"{os.getpid()}-{next(_doorbell_numbers)}"
+        # Made under a dot name that rings skip and renamed into place
+        # once open, so no ringer ever sees it without its reader.
+        staging = directory / f".{name}"
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            staging.unlink(missing_ok=True)  # left by a dead pid's namesake
+            os.mkfifo(staging)
+            # O_RDWR never blocks on a FIFO, and holding a write end
+            # means the FIFO never reads as closed.
+            self._fd = os.open(staging, os.O_RDWR | os.O_NONBLOCK)
+            os.replace(staging, directory / name)
+            self.path = directory / name
+            # poll, not select.select: no FD_SETSIZE limit on the fd.
+            self._poller = select.poll()
+            self._poller.register(self._fd, select.POLLIN)
+        except (AttributeError, OSError):
+            staging.unlink(missing_ok=True)
+            self.close()
+
+    def wait(self, timeout: float) -> bool:
+        """Block until rung or ``timeout`` seconds pass; True if rung."""
+        if self._poller is None:
+            time.sleep(timeout)
+            return False
+        if not self._poller.poll(max(0.0, timeout) * 1000.0):
+            return False
+        try:
+            while os.read(self._fd, 4096):
+                pass
+        except BlockingIOError:
+            pass  # drained: later rings start a fresh wake-up
+        return True
+
+    def close(self) -> None:
+        """Unregister: remove the FIFO and close it (idempotent)."""
+        if self.path is not None:
+            self.path.unlink(missing_ok=True)
+            self.path = None
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        self._poller = None
+
+    def __enter__(self) -> "Doorbell":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 @dataclass(frozen=True)
@@ -205,6 +301,7 @@ class WorkQueue:
         self.results_dir = self.root / "results"
         self.failed_dir = self.root / "failed"
         self.workers_dir = self.root / "workers"
+        self.wake_dir = self.root / "wake"
         self.stop_path = self.root / "stop"
 
     def ensure(self) -> "WorkQueue":
@@ -240,8 +337,59 @@ class WorkQueue:
         return path.name[len("unit-") : -len(".json")]
 
     def unit_ids(self, directory: Path) -> set[str]:
-        """One readdir's worth of unit ids (results/failed scans)."""
-        return {self._uid_of(p) for p in directory.glob("unit-*.json")}
+        """One readdir's worth of unit ids (in-flight temp files excluded)."""
+        try:
+            names = os.listdir(directory)
+        except FileNotFoundError:
+            return set()
+        return {
+            name[len("unit-") : -len(".json")]
+            for name in names
+            if name.startswith("unit-") and name.endswith(".json")
+        }
+
+    # -- waking --------------------------------------------------------------
+
+    def doorbell(self, topic: str) -> Doorbell:
+        """Register a waiter on ``topic`` (``"queued"`` or ``"results"``)."""
+        return Doorbell(self.wake_dir / topic / _host_dir_name())
+
+    def ring(self, topic: str) -> None:
+        """Wake every doorbell of ``topic`` on this host (best effort).
+
+        A FIFO with no reader belonged to a waiter that died without
+        closing it, and is removed. A full FIFO has been rung already.
+        """
+        directory = self.wake_dir / topic / _host_dir_name()
+        try:
+            names = os.listdir(directory)
+        except OSError:
+            return
+        for name in names:
+            if name.startswith("."):
+                continue
+            path = directory / name
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+            except OSError as exc:
+                if exc.errno == errno.ENXIO:
+                    path.unlink(missing_ok=True)
+                continue
+            try:
+                os.write(fd, b"\0")
+            except BlockingIOError:
+                pass
+            finally:
+                os.close(fd)
+
+    def request_stop(self) -> None:
+        """Ask every worker to finish its current unit and exit.
+
+        Idle workers on this host wake at once; the rest see the
+        ``stop`` sentinel at their next poll.
+        """
+        self.stop_path.touch()
+        self.ring("queued")
 
     # -- submitter side ------------------------------------------------------
 
@@ -283,6 +431,7 @@ class WorkQueue:
             else:
                 document["specs"] = [spec.to_dict() for spec in specs]
             atomic_write_json(self.queued_path(uid), document)
+            self.ring("queued")
         return uid
 
     def withdraw(self, uid: str) -> None:
@@ -331,6 +480,8 @@ class WorkQueue:
                 continue  # completed or re-claimed under us
             lease.unlink(missing_ok=True)
             recovered.append(uid)
+        if recovered:
+            self.ring("queued")
         return recovered
 
     # -- worker side ---------------------------------------------------------
@@ -390,11 +541,17 @@ class WorkQueue:
         except OSError:
             pass
         self.lease_path(unit.id).unlink(missing_ok=True)
+        self.ring("queued")
 
     def complete(self, unit: ClaimedUnit) -> None:
-        """Drop the claim and lease after the result file is in place."""
+        """Drop the claim and lease after the result file is in place.
+
+        Rings ``results`` last, so a woken orchestrator finds the unit
+        finished, not still claimed.
+        """
         self.claimed_path(unit.id).unlink(missing_ok=True)
         self.lease_path(unit.id).unlink(missing_ok=True)
+        self.ring("results")
 
     def report_failure(self, uid: str, worker_id: str, error: str) -> None:
         """Record that a unit's spec itself failed (executed, raised).
@@ -638,10 +795,10 @@ class QueueBackend:
         self.batch = int(batch)
         if self.batch < 1:
             raise ConfigError(f"queue batch must be >= 1, got {batch}")
-        # Indirection so tests can interrupt the orchestrator's poll
-        # loop without touching the module-global time.sleep that the
-        # workers share.
-        self._sleep = time.sleep
+        # The wait between scans, ``(doorbell, seconds)``: a seam where
+        # tests interrupt the orchestrator and the sweep daemon stops
+        # its drains on shutdown.
+        self._wait = Doorbell.wait
 
     # Progress sizing: parallelism is however many workers attach, which
     # this process cannot know; report the serial width.
@@ -650,10 +807,15 @@ class QueueBackend:
         return 1
 
     def run(self, pending):
+        # Registered before the first enqueue, so no result can land
+        # unrung between a scan and the wait after it.
+        with self.queue.ensure().doorbell("results") as bell:
+            yield from self._run(list(pending), bell)
+
+    def _run(self, pending, bell: Doorbell):
         from .worker import load_results  # circular at import time only
 
-        queue = self.queue.ensure()
-        pending = list(pending)
+        queue = self.queue
         # Each unit holds up to `batch` points; waiting maps the unit
         # id to its (key, spec) group in unit order.
         waiting: dict[str, list[tuple[str, RunSpec]]] = {}
@@ -662,18 +824,23 @@ class QueueBackend:
             uid = queue.enqueue_batch(tuple(spec for _, spec in group))
             waiting[uid] = group
         deadline = None if self.timeout is None else time.monotonic() + self.timeout
-        # Lease recovery and the vanished-unit scan stat every
-        # outstanding unit, which is pure overhead at poll frequency —
-        # lease expiry has lease_timeout granularity, so a quarter of it
-        # is plenty (the first pass runs immediately: a stale claim from
-        # a crashed previous run must not wait).
+        # Lease recovery stats every outstanding unit, which is pure
+        # overhead at poll frequency — lease expiry has lease_timeout
+        # granularity, so a quarter of it is plenty (the first pass
+        # runs immediately: a stale claim from a crashed previous run
+        # must not wait).
         maintenance_every = max(self.poll, self.lease_timeout / 4)
         next_maintenance = time.monotonic()
         discards: dict[str, int] = {}
         try:
             while waiting:
                 progressed = False
+                # Listed in the order units move, so a unit moving
+                # mid-scan still shows up in a later listing.
+                queued = queue.unit_ids(queue.queue_dir)
+                claimed = queue.unit_ids(queue.claimed_dir)
                 landed = queue.unit_ids(queue.results_dir)
+                failed = queue.unit_ids(queue.failed_dir)
                 for uid in [u for u in waiting if u in landed]:
                     triples = self._consume(uid, waiting[uid], load_results, discards)
                     if triples is None:
@@ -681,11 +848,12 @@ class QueueBackend:
                     del waiting[uid]
                     progressed = True
                     yield from triples
-                for uid in queue.unit_ids(queue.failed_dir) & waiting.keys():
+                for uid in failed & waiting.keys():
                     self._raise_failure(uid, waiting[uid])
+                for uid in waiting.keys() - queued - claimed - landed - failed:
+                    self._requeue(waiting[uid])
                 if time.monotonic() >= next_maintenance:
                     queue.recover_expired(self.lease_timeout, uids=list(waiting))
-                    self._requeue_vanished(waiting)
                     next_maintenance = time.monotonic() + maintenance_every
                 if waiting and not progressed:
                     if deadline is not None and time.monotonic() > deadline:
@@ -697,7 +865,7 @@ class QueueBackend:
                             f"claimed) — are any 'repro queue worker' "
                             f"processes attached to {queue.root}?"
                         )
-                    self._sleep(self.poll)
+                    self._wait(bell, self.poll)
         except BaseException:
             # An abandoned sweep must not leave claimable orphans: the
             # still-unclaimed units are withdrawn (claimed ones belong
@@ -725,14 +893,13 @@ class QueueBackend:
         *different* code, which would loop forever — that is an error.
         """
         path = self.queue.result_path(uid)
-        if not path.exists():
-            return None
         try:
             records = load_results(path)
         except ConfigError:
             if not path.exists():
                 # A concurrent orchestrator waiting on the same unit
                 # consumed it between our scan and the read.
+                self._requeue(group)
                 return None
             raise
         by_key = {record["key"]: record for record in records}
@@ -751,7 +918,7 @@ class QueueBackend:
                     f"other code is attached to {self.queue.root}"
                 )
             self.queue.forget(uid)
-            self.queue.enqueue_batch(tuple(spec for _, spec in group))
+            self._requeue(group)
             return None
         triples = [(key, spec, by_key[key]["payload"]) for key, spec in group]
         self.queue.forget(uid)
@@ -783,23 +950,18 @@ class QueueBackend:
             f"{report.get('error', 'unreadable failure report')}"
         )
 
-    def _requeue_vanished(self, waiting: dict) -> None:
-        """Re-enqueue units that disappeared without producing a result.
+    def _requeue(self, group) -> None:
+        """Enqueue a unit again after it vanished without our result.
 
         A concurrent orchestrator waiting on the same unit consumes the
         result file *and* the unit with it (``forget``); whoever is
-        still waiting simply enqueues again. Benign races re-execute a
-        point at worst — results are bit-identical by construction.
+        still waiting simply enqueues again. A unit that only looked
+        vanished (lease recovery moved it back into ``queue/`` between
+        two listings) is caught by the enqueue's own existence check.
+        Benign races re-execute a point at worst — results are
+        bit-identical by construction.
         """
-        for uid, group in waiting.items():
-            if (
-                self.queue.result_path(uid).exists()
-                or self.queue.failed_path(uid).exists()
-                or self.queue.queued_path(uid).exists()
-                or self.queue.claimed_path(uid).exists()
-            ):
-                continue
-            self.queue.enqueue_batch(tuple(spec for _, spec in group))
+        self.queue.enqueue_batch(tuple(spec for _, spec in group))
 
     def close(self) -> None:
         """Nothing to release: workers are independent processes."""

@@ -167,10 +167,15 @@ def run_queue_worker(
     write its result file (one record per spec) — or its failure
     report, when a spec itself raises — and repeat. The loop ends when
 
-    * a ``stop`` sentinel appears in the work directory,
+    * a ``stop`` sentinel appears in the work directory
+      (:meth:`~repro.runner.queue.WorkQueue.request_stop`),
     * ``max_units`` units have been executed, or
     * the queue has been empty for ``idle_timeout`` seconds
       (``None`` = wait for work forever).
+
+    An idle worker waits on the queue's ``queued`` doorbell, so a unit
+    enqueued on this host is claimed at once; ``poll`` bounds the wait
+    for everything a doorbell cannot carry (enqueues from other hosts).
 
     ``log`` is an optional ``callable(str)`` for per-unit progress lines
     (the CLI passes a stderr printer; library callers default silent).
@@ -180,36 +185,39 @@ def run_queue_worker(
     emit = log if log is not None else _silent
     done = 0
     idle_since = time.monotonic()
-    while True:
-        if queue.stop_requested():
-            emit(f"worker {worker_id}: stop requested, exiting ({done} done)")
-            break
-        if max_units is not None and done >= max_units:
-            break
-        unit = queue.claim_next(worker_id)
-        if unit is None:
-            if (
-                idle_timeout is not None
-                and time.monotonic() - idle_since >= idle_timeout
-            ):
-                emit(f"worker {worker_id}: idle for {idle_timeout:g}s, exiting")
+    # Registered before the first scan, so a unit enqueued between an
+    # empty scan and the wait after it still wakes this worker.
+    with queue.doorbell("queued") as bell:
+        while True:
+            if queue.stop_requested():
+                emit(f"worker {worker_id}: stop requested, exiting ({done} done)")
                 break
-            time.sleep(poll)
-            continue
-        label = unit.specs[0].label()
-        if len(unit.specs) > 1:
-            label += f" +{len(unit.specs) - 1} more"
-        emit(f"worker {worker_id}: claimed {unit.id[:12]} ({label})")
-        error = _process_unit(queue, unit, worker_id, heartbeat)
-        done += 1
-        queue.record_completion(
-            worker_id, points=len(unit.specs), failed=error is not None
-        )
-        if error is not None:
-            emit(f"worker {worker_id}: unit {unit.id[:12]} failed: {error}")
-        else:
-            emit(f"worker {worker_id}: done {unit.id[:12]} ({done} total)")
-        idle_since = time.monotonic()
+            if max_units is not None and done >= max_units:
+                break
+            unit = queue.claim_next(worker_id)
+            if unit is None:
+                if (
+                    idle_timeout is not None
+                    and time.monotonic() - idle_since >= idle_timeout
+                ):
+                    emit(f"worker {worker_id}: idle for {idle_timeout:g}s, exiting")
+                    break
+                bell.wait(poll)
+                continue
+            label = unit.specs[0].label()
+            if len(unit.specs) > 1:
+                label += f" +{len(unit.specs) - 1} more"
+            emit(f"worker {worker_id}: claimed {unit.id[:12]} ({label})")
+            error = _process_unit(queue, unit, worker_id, heartbeat)
+            done += 1
+            queue.record_completion(
+                worker_id, points=len(unit.specs), failed=error is not None
+            )
+            if error is not None:
+                emit(f"worker {worker_id}: unit {unit.id[:12]} failed: {error}")
+            else:
+                emit(f"worker {worker_id}: done {unit.id[:12]} ({done} total)")
+            idle_since = time.monotonic()
     return done
 
 

@@ -19,10 +19,11 @@ state over the same primitives every other front door uses —
   worker`` or fleet drains server sweeps unchanged;
 * progress is *derived*, never journalled: :meth:`SweepEngine.poll`
   watches the tenant cache for outstanding points and turns each
-  landing into an event (the SSE feed), and :meth:`SweepEngine.status`
-  reads queued/claimed straight off the work directory. A restarted
-  daemon reloads the ledger and resumes from what the filesystem
-  already says (:meth:`SweepEngine.start`).
+  landing into an event (the SSE feed) — the drain threads only call
+  :attr:`SweepEngine.notify` to say a poll would find something new —
+  and :meth:`SweepEngine.status` reads queued/claimed straight off the
+  work directory. A restarted daemon reloads the ledger and resumes
+  from what the filesystem already says (:meth:`SweepEngine.start`).
 
 Concurrency model: submissions, status reads and :meth:`poll` run on
 the server's event-loop thread; only the sweep *drains* run on
@@ -43,6 +44,7 @@ from ..errors import ConfigError, ReproError
 from ..resultset import RESULT_FORMATS, ResultSet
 from ..runner.cache import ResultCache, materialise, validate_tenant
 from ..runner.plan import Plan, RunSpec
+from ..runner.progress import NullProgress
 from ..runner.queue import (
     DEFAULT_POLL,
     QueueBackend,
@@ -129,6 +131,20 @@ class _EngineStopped(Exception):
     """Internal: a drain thread interrupted by engine shutdown."""
 
 
+class _DrainProgress(NullProgress):
+    """A drain's progress observer: each point it caches wakes the poller."""
+
+    def __init__(self, engine: "SweepEngine") -> None:
+        self.engine = engine
+
+    def point_done(self, label: str, source: str, done: int, total: int) -> None:
+        self.engine.notify()
+
+
+def _no_listener() -> None:
+    pass
+
+
 @dataclass
 class SweepState:
     """In-memory progress of one ledgered sweep."""
@@ -169,6 +185,10 @@ class SweepEngine:
         self._subscribers: dict[str, list] = {}
         self._caches: dict[str | None, ResultCache] = {}
         self._stop = threading.Event()
+        #: Called from drain threads whenever :meth:`poll` has something
+        #: new to find: a point landed in the cache, or a drain ended.
+        #: The server points it at its poll loop; it must be thread-safe.
+        self.notify = _no_listener
         self._points_seen = 0
         self._points_cached = 0
 
@@ -219,6 +239,7 @@ class SweepEngine:
         are daemons and die with the process.
         """
         self._stop.set()
+        self.queue.ring("results")  # wake drains waiting on a result
         with self._lock:
             threads = [s.thread for s in self._states.values() if s.thread]
         for thread in threads:
@@ -315,8 +336,10 @@ class SweepEngine:
         state.thread = thread
         thread.start()
 
-    def _interruptible_sleep(self, seconds: float) -> None:
-        if self._stop.wait(seconds):
+    def _interruptible_wait(self, bell, seconds: float) -> None:
+        if not self._stop.is_set():
+            bell.wait(seconds)
+        if self._stop.is_set():
             raise _EngineStopped
 
     def _drain(self, state: SweepState) -> None:
@@ -337,9 +360,11 @@ class SweepEngine:
                 lease_timeout=self.lease_timeout,
                 timeout=self.queue_timeout,
             )
-            backend._sleep = self._interruptible_sleep
+            backend._wait = self._interruptible_wait
             cache = self.cache_for(state.record.tenant)
-            session = Session(cache=cache, backend=backend)
+            session = Session(
+                cache=cache, backend=backend, progress=_DrainProgress(self)
+            )
             try:
                 session.sweep([spec for _, spec in state.unique])
             finally:
@@ -361,6 +386,7 @@ class SweepEngine:
                     pass
         finally:
             state.thread = None
+            self.notify()
 
     # -- progress ------------------------------------------------------------
 

@@ -21,10 +21,12 @@ The ``X-Repro-Tenant`` request header selects the cache namespace for a
 submission. Reads are by sweep id only — ids are content addresses that
 already fold the tenant in, so holding an id is the read capability.
 
-Threading: the event loop owns all engine reads and the periodic
+Threading: the event loop owns all engine reads and every
 :meth:`~repro.server.engine.SweepEngine.poll`; sweep execution runs on
-the engine's drain threads. :func:`start_in_thread` hosts the whole
-loop on a daemon thread for tests and in-process examples.
+the engine's drain threads, which wake the poll loop through
+:attr:`~repro.server.engine.SweepEngine.notify` when a point lands.
+:func:`start_in_thread` hosts the whole loop on a daemon thread for
+tests and in-process examples.
 """
 
 from __future__ import annotations
@@ -126,14 +128,29 @@ class SweepServer:
         self.engine.shutdown()
 
     async def _poll_loop(self) -> None:
-        """Drive engine.poll() — the only writer of progress/events."""
+        """Drive engine.poll() — the only writer of progress/events.
+
+        A tick runs as soon as a drain thread reports progress, and at
+        the latest ``poll_interval`` seconds after the previous one.
+        """
+        loop = asyncio.get_running_loop()
+        wake = asyncio.Event()
+
+        def notify() -> None:
+            # A drain may end after the loop has closed.
+            with suppress(RuntimeError):
+                loop.call_soon_threadsafe(wake.set)
+
+        self.engine.notify = notify
         while True:
+            wake.clear()  # before the tick: a wake-up during it is kept
             try:
                 self.engine.poll()
             # repro: ignore[RPR005] poll must outlive any one bad tick
             except Exception:  # pragma: no cover - keep the loop alive
                 pass
-            await asyncio.sleep(self.engine.poll_interval)
+            with suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(wake.wait(), self.engine.poll_interval)
 
     # -- connection handling -------------------------------------------------
 

@@ -234,8 +234,8 @@ class Session:
             :class:`~repro.runner.Backend`, or ``None`` for the local
             pool.
         work_dir: the shared unit directory the queue backend requires
-            (see also the :meth:`remote` shorthand); unused by the local
-            pool.
+            (see also the :meth:`remote` shorthand); an error with the
+            local pool.
         queue_batch: points per claimable unit for the queue backend
             (default 1; ignored by the other backends).
         progress: ``True`` for live progress lines, ``False``/``None``

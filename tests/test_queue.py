@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -378,13 +379,14 @@ class TestQueueBackend:
         assert tree_files(tmp_path, "*.tmp") == []
 
     def test_keyboard_interrupt_leaves_no_orphans(self, tmp_path):
-        # Ctrl-C lands in the orchestrator's poll sleep; the backend must
-        # withdraw its still-unclaimed units and leave no temp files.
-        def interrupted_sleep(seconds):
+        # Ctrl-C lands in the orchestrator's wait between scans; the
+        # backend must withdraw its still-unclaimed units and leave no
+        # temp files.
+        def interrupted_wait(bell, seconds):
             raise KeyboardInterrupt
 
         backend = QueueBackend(tmp_path / "work", poll=0.02)
-        backend._sleep = interrupted_sleep
+        backend._wait = interrupted_wait
         runner = SweepRunner(cache=ResultCache(tmp_path / "cache"), backend=backend)
         with pytest.raises(KeyboardInterrupt):
             runner.run_plan(small_specs())
@@ -405,11 +407,11 @@ class TestQueueBackend:
             queue.enqueue(spec)
         run_queue_worker(work, max_units=1, poll=0.02)  # one result lands
 
-        def interrupted_sleep(seconds):
+        def interrupted_wait(bell, seconds):
             raise KeyboardInterrupt
 
         backend = QueueBackend(work, poll=0.02)
-        backend._sleep = interrupted_sleep
+        backend._wait = interrupted_wait
         runner = SweepRunner(cache=cache, backend=backend)
         with pytest.raises(KeyboardInterrupt):
             runner.run_plan(specs)
@@ -669,6 +671,156 @@ class TestQueueBatching:
         session.close()
 
 
+def warm_up() -> None:
+    """Build the simulator's lazily compiled parts before a timed test."""
+    SweepRunner().run_plan(small_specs())
+
+
+def fifos(queue: WorkQueue, topic: str) -> list:
+    """The doorbells registered on ``topic`` (every host directory)."""
+    return sorted(
+        p for p in (queue.wake_dir / topic).glob("*/*") if not p.name.startswith(".")
+    )
+
+
+class TestDoorbell:
+    def test_ring_before_wait_returns_at_once(self, tmp_path):
+        queue = WorkQueue(tmp_path).ensure()
+        with queue.doorbell("queued") as bell:
+            assert fifos(queue, "queued") == [bell.path]
+            queue.ring("queued")
+            queue.ring("queued")  # rings coalesce into one wake-up
+            start = time.monotonic()
+            assert bell.wait(30) is True
+            assert time.monotonic() - start < 1
+            assert bell.wait(0.01) is False  # drained
+            queue.ring("results")  # another topic does not reach it
+            assert bell.wait(0.01) is False
+        assert fifos(queue, "queued") == []
+
+    def test_enqueue_and_complete_ring_their_topics(self, tmp_path):
+        queue = WorkQueue(tmp_path).ensure()
+        with queue.doorbell("queued") as queued, queue.doorbell("results") as results:
+            queue.enqueue(small_specs()[0])
+            assert queued.wait(0) and not results.wait(0)
+            unit = queue.claim_next("w")
+            queue.release(unit)
+            assert queued.wait(0)
+            unit = queue.claim_next("w")
+            queue.complete(unit)
+            assert results.wait(0) and not queued.wait(0)
+            queue.request_stop()
+            assert queued.wait(0) and queue.stop_requested()
+
+    def test_killed_waiters_fifo_is_removed_by_the_next_ring(self, tmp_path):
+        queue = WorkQueue(tmp_path).ensure()
+        code = (
+            "import sys, time\n"
+            "from repro.runner.queue import WorkQueue\n"
+            "bell = WorkQueue(sys.argv[1]).doorbell('results')\n"
+            "print(bell.path, flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(tmp_path)],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            path = proc.stdout.readline().strip()
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        assert path and fifos(queue, "results") == [Path(path)]
+        with queue.doorbell("results") as live:
+            queue.ring("results")
+            assert fifos(queue, "results") == [live.path]
+            assert live.wait(0)
+
+    @pytest.mark.parametrize("failure", ["missing", "refused"])
+    def test_sweep_completes_by_polling_without_fifos(
+        self, tmp_path, monkeypatch, failure
+    ):
+        if failure == "missing":
+            monkeypatch.delattr(os, "mkfifo", raising=False)
+        else:
+
+            def refuse(path, mode=0o666):
+                raise PermissionError(1, "FIFOs not allowed here", str(path))
+
+            monkeypatch.setattr(os, "mkfifo", refuse)
+        work = tmp_path / "work"
+        with WorkQueue(work).doorbell("results") as bell:
+            assert bell.path is None
+            assert bell.wait(0.01) is False
+        backend = QueueBackend(work, poll=0.02, timeout=30)
+        runner = SweepRunner(cache=ResultCache(tmp_path / "cache"), backend=backend)
+        worker = start_worker(work)
+        assert len(runner.run_plan(small_specs())) == 2
+        WorkQueue(work).request_stop()
+        worker.join(10)
+        assert not worker.is_alive()
+        assert all(path.is_dir() for path in (work / "wake").rglob("*"))
+
+    def test_sweep_is_woken_not_polled(self, tmp_path):
+        # Every poll is 30 s: the sweep can only finish in time if the
+        # enqueue wakes the idle worker and the result wakes the backend.
+        warm_up()
+        work = tmp_path / "work"
+        worker = start_worker(work, poll=30, idle_timeout=None)
+        wait_until = time.monotonic() + 10
+        while not fifos(WorkQueue(work), "queued"):
+            assert time.monotonic() < wait_until, "worker never registered"
+            time.sleep(0.01)
+        backend = QueueBackend(work, poll=30, timeout=60)
+        start = time.monotonic()
+        assert len(SweepRunner(backend=backend).run_plan(small_specs())) == 2
+        WorkQueue(work).request_stop()
+        worker.join(5)
+        assert time.monotonic() - start < 5
+        assert not worker.is_alive()
+
+    def test_orchestrators_sharing_a_unit_both_finish_promptly(self, tmp_path):
+        # The first orchestrator to consume the shared unit forgets it;
+        # the second must notice on its next pass (not a lease_timeout/4
+        # maintenance pass later) and enqueue it again.
+        warm_up()
+        work = tmp_path / "work"
+        specs = small_specs()[:1]
+        results: dict = {}
+
+        def orchestrate(name):
+            backend = QueueBackend(work, lease_timeout=30, timeout=30)
+            results[name] = SweepRunner(backend=backend).run_plan(specs)
+
+        threads = [
+            threading.Thread(target=orchestrate, args=(name,), daemon=True)
+            for name in ("a", "b")
+        ]
+        for thread in threads:
+            thread.start()
+        wait_until = time.monotonic() + 10
+        while len(fifos(WorkQueue(work), "results")) < 2:
+            assert time.monotonic() < wait_until, "orchestrators never waited"
+            time.sleep(0.01)
+        start = time.monotonic()
+        worker = start_worker(work, idle_timeout=None)
+        for thread in threads:
+            thread.join(10)
+        elapsed = time.monotonic() - start
+        WorkQueue(work).request_stop()
+        worker.join(5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert elapsed < 2
+        assert [dataclasses.asdict(r) for r in results["a"]] == [
+            dataclasses.asdict(r) for r in results["b"]
+        ]
+
+
 class TestQueueCLI:
     def test_status_command(self, tmp_path, capsys):
         queue = WorkQueue(tmp_path / "work").ensure()
@@ -739,6 +891,29 @@ class TestQueueCLI:
         assert rc == 2
         assert "work-dir" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_work_dir_without_queue_backend_is_an_error(self, tmp_path, capsys):
+        work = tmp_path / "work"
+        rc = cli_main(
+            [
+                "sweep",
+                "--workloads",
+                "st",
+                "--mechanisms",
+                "inorder",
+                "--scales",
+                str(SCALE),
+                "--no-cache",
+                "--work-dir",
+                str(work),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: --work-dir applies to --backend queue" in err
+        assert not work.exists()
+        with pytest.raises(ConfigError, match="--backend queue"):
+            make_backend("local", work_dir=work)
 
 
 class TestWorkerStats:

@@ -670,9 +670,23 @@ class TestCLI:
         assert records[0]["mechanism"] == "inorder"
         assert records[0]["total_cycles"] > 0
 
-    def test_sweep_rejects_unknown_axis_value(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main(["sweep", "--workloads", "nope", "--no-cache"])
+    def test_sweep_rejects_unknown_axis_value(self, tmp_path, capsys):
+        assert cli_main(["sweep", "--workloads", "nope", "--no-cache"]) == 2
+        assert "error: unknown workload 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--engines", "vectorized"], "error: unknown engine 'vectorized'"),
+            (["--scales", "0.1,big"], "error: invalid scale list '0.1,big'"),
+        ],
+    )
+    def test_bad_axis_lists_exit_2_with_an_error_line(self, flags, message, capsys):
+        argv = ["sweep", "--workloads", "st", "--no-cache", *flags]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_compare_command_with_cache(self, tmp_path, capsys):
         args = ["compare", "st", "--scale", str(SCALE)]

@@ -12,6 +12,7 @@ The acceptance properties of the sweep-as-a-service daemon:
 """
 
 import contextlib
+import functools
 import json
 import threading
 import time
@@ -22,7 +23,8 @@ import pytest
 
 from repro.client import SweepClient
 from repro.errors import ConfigError, ServerError, SimulationError
-from repro.runner import RunSpec, WorkQueue, expand, run_queue_worker
+import repro.server.engine as engine_module
+from repro.runner import QueueBackend, RunSpec, WorkQueue, expand, run_queue_worker
 from repro.server import (
     SweepEngine,
     SweepLedger,
@@ -48,23 +50,22 @@ def small_grid() -> Grid:
 def running_worker(work_dir, **kwargs):
     """A queue worker thread for the block's duration.
 
-    On exit the queue's stop sentinel ends the worker at its next poll
-    (no idle timeout to wait out), the join must see it gone, and the
+    On exit a stop request wakes the idle worker at once (no idle
+    timeout or poll to wait out), the join must see it gone, and the
     sentinel is removed again so a later worker on the same work dir
     starts normally.
     """
-    kwargs.setdefault("poll", 0.02)
     thread = threading.Thread(
         target=run_queue_worker, args=(work_dir,), kwargs=kwargs, daemon=True
     )
     thread.start()
-    stop = WorkQueue(work_dir).stop_path
+    queue = WorkQueue(work_dir)
     try:
         yield thread
     finally:
-        stop.touch()
+        queue.request_stop()
         thread.join(30)
-        stop.unlink()
+        queue.stop_path.unlink()
     assert not thread.is_alive(), "queue worker did not stop"
 
 
@@ -80,6 +81,11 @@ def server(engine):
     handle = start_in_thread(engine)
     yield handle
     handle.stop()
+
+
+def fifos(queue: WorkQueue, topic: str) -> list:
+    """The doorbells registered on ``topic`` (every host directory)."""
+    return [p for p in (queue.wake_dir / topic).glob("*/*") if p.name[0] != "."]
 
 
 def wait_for(predicate, timeout=60.0, poll=0.02):
@@ -269,6 +275,23 @@ class TestSweepEngine:
             poll_until(engine, sid, "done")
         assert engine.status(sid)["error"] is None
 
+    def test_shutdown_interrupts_a_waiting_drain(self, tmp_path, monkeypatch):
+        # The drain waits for a result that never comes (no worker) with
+        # a 30 s poll: shutdown must wake it, and record no error.
+        monkeypatch.setattr(
+            engine_module, "QueueBackend", functools.partial(QueueBackend, poll=30)
+        )
+        eng = SweepEngine(tmp_path / "work", cache_dir=tmp_path / "cache")
+        sid, _ = eng.submit(small_specs())
+        wait_for(lambda: len(fifos(eng.queue, "results")) == 1)
+        thread = eng._states[sid].thread
+        start = time.monotonic()
+        eng.shutdown(timeout=10)
+        assert time.monotonic() - start < 2
+        assert not thread.is_alive()
+        assert eng.status(sid)["error"] is None
+        assert SweepLedger(tmp_path / "work" / "server").load(sid).error is None
+
     def test_restart_mid_sweep_resumes_from_ledger(self, tmp_path):
         work, cache = tmp_path / "work", tmp_path / "cache"
         first = SweepEngine(work, cache_dir=cache)
@@ -383,6 +406,31 @@ class TestHTTPServer:
         # ... and nothing leaked into the default namespace.
         assert len(default_cache.entries()) == 0
         assert default_cache.tenants() == ["alice", "bob"]
+
+    def test_served_sweep_is_woken_not_polled(self, tmp_path, monkeypatch):
+        # Every poll is 30 s — the worker's, the drain's and the daemon's:
+        # the sweep can only finish in time if each hop wakes the next.
+        with Session(cache=False) as session:  # build lazily compiled parts
+            session.sweep(small_grid())
+        monkeypatch.setattr(
+            engine_module, "QueueBackend", functools.partial(QueueBackend, poll=30)
+        )
+        eng = SweepEngine(
+            tmp_path / "work", cache_dir=tmp_path / "cache", poll_interval=30
+        )
+        handle = start_in_thread(eng)
+        try:
+            with running_worker(eng.work_dir, poll=30):
+                wait_for(lambda: len(fifos(eng.queue, "queued")) == 1)
+                client = SweepClient(handle.base_url)
+                start = time.monotonic()
+                accepted = client.submit(small_grid())
+                events = list(client.events(accepted["id"], timeout=30))
+                elapsed = time.monotonic() - start
+        finally:
+            handle.stop()
+        assert [e["event"] for e in events] == ["point", "point", "done"]
+        assert elapsed < 5
 
     def test_sse_stream_ends_with_done(self, server):
         client = SweepClient(server.base_url)
